@@ -10,7 +10,7 @@ Run with:  python3 demos/03_ranges_and_ideal.py
 """
 
 import afsolve as afs
-from afsolve import RangeBase, oracle_extensions
+from afsolve import RangeSemantics, oracle_extensions
 
 # a three-cycle plus a self-attacker hanging off it: no stable extension
 af = afs.parse_apx(
@@ -22,14 +22,16 @@ show = lambda mask: "{" + ",".join(af.names_of(mask)) + "}"
 print("stable extensions:", afs.base_extensions(af, afs.BaseSemantics.STABLE))
 print()
 
-for base in (RangeBase.NAIVE, RangeBase.COMPLETE):
-    print(f"maximal ranges over the {base.value} base:")
-    for rw in afs.max_ranges(af, base):
+# stage maximizes the ranges of conflict-free sets, semi-stable those of
+# complete extensions
+for sem in (RangeSemantics.STAGE, RangeSemantics.SEMI_STABLE):
+    print(f"maximal {sem.value} ranges:")
+    for rw in afs.max_ranges(af, sem):
         print(f"  range {show(rw.range_mask)} witnessed by {show(rw.witness)}")
 print()
 
 print("stage extensions (stable inside each restricted range):")
-for rw in afs.max_ranges(af, RangeBase.NAIVE):
+for rw in afs.max_ranges(af, RangeSemantics.STAGE):
     sub = af.restrict(rw.range_mask)
     inner = afs.base_extensions(sub.framework, afs.BaseSemantics.STABLE)
     back = [show(sub.to_parent_mask(e)) for e in inner]

@@ -20,13 +20,10 @@ from .framework import (
 )
 from .kernel import (
     BaseSemantics,
-    Labelling,
     base_extensions,
     characteristic,
-    complete_labellings,
     count_base,
     defends,
-    enumerate_base,
     find_complete,
     find_stable,
     grounded,
@@ -38,7 +35,6 @@ from .kernel import (
 )
 from .ranges import (
     AcceptanceMode,
-    RangeBase,
     RangeSemantics,
     RangeWitness,
     decide_range,
@@ -49,7 +45,7 @@ from .ranges import (
     stage_all,
 )
 from .ideal import CredulousProfile, credulous_profile, ideal_extension
-from .oracle import OracleReport, TooLargeError, oracle_extensions, oracle_report
+from .oracle import TooLargeError, oracle_extensions
 from .tasks import (
     PROBLEMS,
     Semantics,
@@ -76,13 +72,10 @@ __all__ = [
     "mask_of_indices",
     "parse_apx",
     "BaseSemantics",
-    "Labelling",
     "base_extensions",
     "characteristic",
-    "complete_labellings",
     "count_base",
     "defends",
-    "enumerate_base",
     "find_complete",
     "find_stable",
     "grounded",
@@ -92,7 +85,6 @@ __all__ = [
     "preferred_extensions",
     "some_preferred",
     "AcceptanceMode",
-    "RangeBase",
     "RangeSemantics",
     "RangeWitness",
     "decide_range",
@@ -104,10 +96,8 @@ __all__ = [
     "CredulousProfile",
     "credulous_profile",
     "ideal_extension",
-    "OracleReport",
     "TooLargeError",
     "oracle_extensions",
-    "oracle_report",
     "PROBLEMS",
     "Semantics",
     "SolveResult",

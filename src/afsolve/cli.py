@@ -19,6 +19,7 @@ from .tasks import (
     TaskSpec,
     UnknownArgumentError,
     UnsupportedTaskError,
+    _resolve_query,
     solve,
 )
 
@@ -64,12 +65,9 @@ def format_output(result: SolveResult, af: ArgumentationFramework) -> str:
     return "[" + ",".join(format_extension(af, e) for e in result.extensions) + "]"
 
 
-_ORACLE_CODES = {"CO": "CO", "PR": "PR", "ST": "ST", "SST": "SST", "STG": "STG", "ID": "ID"}
-
-
 def _solve_with_oracle(af: ArgumentationFramework, spec: TaskSpec) -> SolveResult:
     exts = sorted(
-        oracle_extensions(af, _ORACLE_CODES[spec.semantics.value]),
+        oracle_extensions(af, spec.semantics.value),
         key=lambda m: canonical_key(m, af.n),
     )
     if spec.task is Task.SE:
@@ -78,10 +76,7 @@ def _solve_with_oracle(af: ArgumentationFramework, spec: TaskSpec) -> SolveResul
         return SolveResult(spec.task, extensions=tuple(exts))
     if spec.task is Task.CE:
         return SolveResult(spec.task, count=len(exts))
-    try:
-        q = af.index_of(spec.query)
-    except KeyError:
-        raise UnknownArgumentError(f"unknown argument {spec.query!r}") from None
+    q = _resolve_query(af, spec.query)
     if spec.task is Task.DC:
         return SolveResult(spec.task, verdict=any((e >> q) & 1 for e in exts))
     return SolveResult(spec.task, verdict=all((e >> q) & 1 for e in exts))
@@ -105,20 +100,15 @@ def main(argv=None) -> int:
             raise _CliError("no input format given (-fo)")
         if args.fo not in FORMATS:
             raise _CliError(f"unsupported format {args.fo!r}")
-        if args.p not in PROBLEMS:
-            raise _CliError(f"unsupported task {args.p!r}")
-        needs_query = args.p.startswith(("DC-", "DS-"))
-        if needs_query and args.a is None:
-            raise _CliError(f"task {args.p} requires a query argument (-a)")
-        if not needs_query and args.a is not None:
-            raise _CliError(f"task {args.p} does not take a query argument")
+        spec = TaskSpec.from_problem(args.p, args.a)  # task errors come before any I/O
         try:
             with open(args.f, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
             raise _CliError(f"cannot read {args.f}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise _CliError(f"cannot read {args.f}: not UTF-8 text") from None
         af = parse_apx(text)
-        spec = TaskSpec.from_problem(args.p, args.a)
         if args.oracle:
             result = _solve_with_oracle(af, spec)
         else:

@@ -16,6 +16,8 @@ When no free argument remains, every surviving not-in argument can only be
 undec, so leaves resolve deterministically; each complete labelling (or
 canonical labelling of an admissible / conflict-free set) is visited exactly
 once.  Stable semantics is the complete engine with undec forbidden globally.
+The search is chosen by a ``BaseSemantics``: conflict-free, admissible,
+complete or stable; naive and preferred are built on top of it.
 
 Branching is obligation-driven: while some out-labelled argument still lacks
 an in-labelled attacker, the search branches on one of its candidate
@@ -37,7 +39,6 @@ framework never interfere.
 """
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 from .framework import ArgumentationFramework, bits, canonical_key
@@ -52,33 +53,33 @@ class BaseSemantics(Enum):
     PREFERRED = "preferred"
 
 
-@dataclass(frozen=True)
-class Labelling:
-    """Three-way partition of the arguments (bitmasks)."""
-
-    in_set: int
-    out_set: int
-    undec_set: int
-
-
 class _Stop(Exception):
     pass
 
 
 _IN, _OUT, _UD, _NI = 0, 1, 2, 3
 
+# (defense, closure) of each base semantics the search enumerates directly;
+# stable is complete with undec forbidden
+_SEARCHED = {
+    BaseSemantics.CONFLICT_FREE: (False, False),
+    BaseSemantics.ADMISSIBLE: (True, False),
+    BaseSemantics.COMPLETE: (True, True),
+    BaseSemantics.STABLE: (True, True),
+}
+
 
 class _Search:
     """One configured search; run() drives the callback over the leaves.
 
-    mode is "complete", "admissible" or "cf".  The callback receives
+    sem is one of the keys of _SEARCHED.  The callback receives
     (in_mask, out_mask, undec_mask) per leaf and may return False to stop.
     """
 
     def __init__(
         self,
         af: ArgumentationFramework,
-        mode: str = "complete",
+        sem: BaseSemantics,
         *,
         force_in: int = 0,
         force_out: int = 0,
@@ -94,8 +95,9 @@ class _Search:
         self.all = af.all_mask
         self.attackers = af.attackers
         self.targets = af.targets
-        self.defense = mode != "cf"
-        self.closure = mode == "complete"
+        self.defense, self.closure = _SEARCHED[sem]
+        if sem is BaseSemantics.STABLE:
+            notundec = af.all_mask
         self.notundec = notundec & af.all_mask
         self.force_in = force_in
         self.force_out = force_out
@@ -367,7 +369,7 @@ class _Search:
             pass
 
 
-def _find(af: ArgumentationFramework, mode: str, **kw):
+def _find(af: ArgumentationFramework, sem: BaseSemantics, **kw):
     """First leaf of the configured search, or None."""
     box = []
 
@@ -375,31 +377,23 @@ def _find(af: ArgumentationFramework, mode: str, **kw):
         box.append((in_m, out_m, ud_m))
         return False
 
-    _Search(af, mode, find_first=True, **kw).run(grab)
+    _Search(af, sem, find_first=True, **kw).run(grab)
     return box[0] if box else None
 
 
 def find_complete(af: ArgumentationFramework, **kw):
     """Some complete labelling satisfying the constraints, or None."""
-    return _find(af, "complete", **kw)
+    return _find(af, BaseSemantics.COMPLETE, **kw)
 
 
 def find_stable(af: ArgumentationFramework, *, force_in: int = 0, force_out: int = 0):
     """Some stable extension (as a mask) satisfying the constraints, or None."""
-    leaf = _find(af, "complete", force_in=force_in, force_out=force_out, notundec=af.all_mask)
+    leaf = _find(af, BaseSemantics.STABLE, force_in=force_in, force_out=force_out)
     return leaf[0] if leaf is not None else None
 
 
 def complete_labellings_into(af: ArgumentationFramework, on_leaf, **kw) -> None:
-    _Search(af, "complete", **kw).run(on_leaf)
-
-
-def complete_labellings(af: ArgumentationFramework) -> list[Labelling]:
-    """All complete labellings, ordered canonically by their in-sets."""
-    rows: list[Labelling] = []
-    _Search(af, "complete").run(lambda i, o, u: rows.append(Labelling(i, o, u)))
-    rows.sort(key=lambda lab: canonical_key(lab.in_set, af.n))
-    return rows
+    _Search(af, BaseSemantics.COMPLETE, **kw).run(on_leaf)
 
 
 # -- definitional checkers ---------------------------------------------------
@@ -452,7 +446,7 @@ def is_extension(af: ArgumentationFramework, s: int, sem: BaseSemantics) -> bool
     if sem is BaseSemantics.PREFERRED:
         if not (is_conflict_free(af, s) and characteristic(af, s) == s):
             return False
-        return _find(af, "complete", force_in=s, in_clauses=(~s & af.all_mask,)) is None
+        return _find(af, BaseSemantics.COMPLETE, force_in=s, in_clauses=(~s & af.all_mask,)) is None
     raise ValueError(f"unknown semantics {sem!r}")
 
 
@@ -514,7 +508,7 @@ def maximize_complete(af: ArgumentationFramework, e: int) -> int:
     """Grow a complete extension until no complete strict superset exists."""
     while True:
         grow = ~e & af.all_mask
-        leaf = _find(af, "complete", force_in=e, in_clauses=(grow,)) if grow else None
+        leaf = _find(af, BaseSemantics.COMPLETE, force_in=e, in_clauses=(grow,)) if grow else None
         if leaf is None:
             return e
         e = leaf[0]
@@ -534,7 +528,7 @@ def preferred_into(af: ArgumentationFramework, on_extension) -> None:
     """
     blockers: list[int] = []
     while True:
-        leaf = _find(af, "complete", in_clauses=tuple(blockers))
+        leaf = _find(af, BaseSemantics.COMPLETE, in_clauses=tuple(blockers))
         if leaf is None:
             return
         e = maximize_complete(af, leaf[0])
@@ -552,14 +546,8 @@ def preferred_extensions(af: ArgumentationFramework) -> list[int]:
 def base_extensions(af: ArgumentationFramework, sem: BaseSemantics) -> list[int]:
     """All extensions of *sem*, in canonical order."""
     found: list[int] = []
-    if sem is BaseSemantics.COMPLETE:
-        _Search(af, "complete").run(lambda i, o, u: found.append(i))
-    elif sem is BaseSemantics.STABLE:
-        _Search(af, "complete", notundec=af.all_mask).run(lambda i, o, u: found.append(i))
-    elif sem is BaseSemantics.ADMISSIBLE:
-        _Search(af, "admissible").run(lambda i, o, u: found.append(i))
-    elif sem is BaseSemantics.CONFLICT_FREE:
-        _Search(af, "cf").run(lambda i, o, u: found.append(i))
+    if sem in _SEARCHED:
+        _Search(af, sem).run(lambda i, o, u: found.append(i))
     elif sem is BaseSemantics.NAIVE:
         found = _maximal_conflict_free(af)
     elif sem is BaseSemantics.PREFERRED:
@@ -573,32 +561,13 @@ def base_extensions(af: ArgumentationFramework, sem: BaseSemantics) -> list[int]
 def count_base(af: ArgumentationFramework, sem: BaseSemantics) -> int:
     """Number of extensions of *sem*; counts leaves without storing them for
     the directly-enumerable semantics."""
-    if sem in (BaseSemantics.COMPLETE, BaseSemantics.STABLE,
-               BaseSemantics.ADMISSIBLE, BaseSemantics.CONFLICT_FREE):
-        counter = [0]
+    if sem not in _SEARCHED:
+        return len(base_extensions(af, sem))
+    count = 0
 
-        def bump(i, o, u):
-            counter[0] += 1
+    def bump(i, o, u):
+        nonlocal count
+        count += 1
 
-        if sem is BaseSemantics.STABLE:
-            _Search(af, "complete", notundec=af.all_mask).run(bump)
-        elif sem is BaseSemantics.COMPLETE:
-            _Search(af, "complete").run(bump)
-        else:
-            _Search(af, "admissible" if sem is BaseSemantics.ADMISSIBLE else "cf").run(bump)
-        return counter[0]
-    return len(base_extensions(af, sem))
-
-
-def enumerate_base(af: ArgumentationFramework, sem: BaseSemantics, visit) -> int:
-    """Visit every extension of *sem* exactly once, in canonical order.
-
-    *visit* receives one mask per extension; returning False stops the
-    enumeration.  Returns the number of extensions visited.
-    """
-    seen = 0
-    for e in base_extensions(af, sem):
-        seen += 1
-        if visit(e) is False:
-            break
-    return seen
+    _Search(af, sem).run(bump)
+    return count

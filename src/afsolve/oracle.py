@@ -6,9 +6,6 @@ accessors.  It exists to be slow, obvious, and right; the test suites compare
 the kernel against it on small frameworks.
 """
 
-import time
-from dataclasses import dataclass
-
 from .framework import ArgumentationFramework
 
 SEMANTICS_CODES = ("CO", "PR", "ST", "SST", "STG", "ID", "GR", "NAIVE", "ADM", "CF")
@@ -18,13 +15,6 @@ MAX_ORACLE_ARGS = 20
 
 class TooLargeError(ValueError):
     """Framework exceeds the subset-scan size limit."""
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    semantics: str
-    extensions: frozenset[int]
-    elapsed: float
 
 
 def _conflict_free_sets(af: ArgumentationFramework) -> list[int]:
@@ -133,8 +123,3 @@ def oracle_extensions(af: ArgumentationFramework, semantics: str) -> set[int]:
         return {_grounded_set(af)}
     raise ValueError(f"unknown semantics code {semantics!r}")
 
-
-def oracle_report(af: ArgumentationFramework, semantics: str) -> OracleReport:
-    start = time.monotonic()
-    extensions = oracle_extensions(af, semantics)
-    return OracleReport(semantics, frozenset(extensions), time.monotonic() - start)

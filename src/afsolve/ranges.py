@@ -10,12 +10,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .framework import ArgumentationFramework, canonical_key
+from . import kernel
 from .kernel import _find, _maximal_conflict_free, base_extensions, BaseSemantics
-
-
-class RangeBase(Enum):
-    COMPLETE = "complete"
-    NAIVE = "naive"
 
 
 class RangeSemantics(Enum):
@@ -34,28 +30,29 @@ class RangeWitness:
 
     range_mask: int
     witness: int
-    base: RangeBase
 
 
 def range_of(af: ArgumentationFramework, s: int) -> int:
     return s | af.attacked_set(s)
 
 
-def _grow_range(af: ArgumentationFramework, mode: str, witness: int, rng: int):
-    """Maximize a range: re-search under range >= current, range != current."""
+def _grow_range(af: ArgumentationFramework, witness: int, rng: int):
+    """Maximize the range of a complete labelling: re-search under
+    range >= current, range != current."""
     while True:
         grow = ~rng & af.all_mask
         if grow == 0:
             return witness, rng
-        leaf = _find(af, mode, notundec=rng, range_clauses=(grow,))
+        leaf = _find(af, BaseSemantics.COMPLETE, notundec=rng, range_clauses=(grow,))
         if leaf is None:
             return witness, rng
         witness = leaf[0]
         rng = leaf[0] | leaf[1]
 
 
-def max_ranges(af: ArgumentationFramework, base: RangeBase) -> list[RangeWitness]:
-    """One witness per subset-maximal range achievable by a base set.
+def max_ranges(af: ArgumentationFramework, sem: RangeSemantics) -> list[RangeWitness]:
+    """One witness per subset-maximal range achievable by a base set: a
+    complete extension for semi-stable, a conflict-free set for stage.
 
     Witnesses of distinct entries achieve incomparable ranges; every
     achievable range is covered by some entry.
@@ -67,16 +64,16 @@ def max_ranges(af: ArgumentationFramework, base: RangeBase) -> list[RangeWitness
     every range-maximal conflict-free set is naive, so the maximal ranges are
     filtered out of the naive enumeration instead.
     """
-    if base is RangeBase.NAIVE:
+    if sem is RangeSemantics.STAGE:
         return _max_ranges_naive(af)
     found: list[RangeWitness] = []
     blockers: list[int] = []
     while True:
-        leaf = _find(af, "complete", range_clauses=tuple(blockers))
+        leaf = _find(af, BaseSemantics.COMPLETE, range_clauses=tuple(blockers))
         if leaf is None:
             break
-        witness, rng = _grow_range(af, "complete", leaf[0], leaf[0] | leaf[1])
-        found.append(RangeWitness(rng, witness, base))
+        witness, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1])
+        found.append(RangeWitness(rng, witness))
         blockers.append(~rng & af.all_mask)
     found.sort(key=lambda rw: canonical_key(rw.range_mask, af.n))
     return found
@@ -94,15 +91,15 @@ def _max_ranges_naive(af: ArgumentationFramework) -> list[RangeWitness]:
         if not any(r & k == r for k in maximal):
             maximal.append(r)
     maximal.sort(key=lambda m: canonical_key(m, af.n))
-    return [RangeWitness(r, witness_for[r], RangeBase.NAIVE) for r in maximal]
+    return [RangeWitness(r, witness_for[r]) for r in maximal]
 
 
 def some_range_extension(af: ArgumentationFramework, sem: RangeSemantics) -> int:
     """A semi-stable (resp. stage) extension: witness of one maximal range."""
     if sem is RangeSemantics.SEMI_STABLE:
-        leaf = _find(af, "complete")
+        leaf = _find(af, BaseSemantics.COMPLETE)
         assert leaf is not None  # the grounded labelling always exists
-        witness, _ = _grow_range(af, "complete", leaf[0], leaf[0] | leaf[1])
+        witness, _ = _grow_range(af, leaf[0], leaf[0] | leaf[1])
         return witness
     return _max_ranges_naive(af)[0].witness
 
@@ -118,10 +115,9 @@ def semi_stable_all(af: ArgumentationFramework) -> list[int]:
     if stable:
         return stable
     pairs: list[tuple[int, int]] = []
-
-    from .kernel import complete_labellings_into
-
-    complete_labellings_into(af, lambda i, o, u: pairs.append((u, i)))
+    # looked up on the module at call time, so a wrapper installed on
+    # kernel.complete_labellings_into (perfbench's tracer) sees this call
+    kernel.complete_labellings_into(af, lambda i, o, u: pairs.append((u, i)))
     undec_sets = {u for u, _ in pairs}
     result = [
         i
@@ -136,7 +132,7 @@ def stage_all(af: ArgumentationFramework) -> list[int]:
     """All stage extensions: per maximal naive range, the stable extensions of
     the framework restricted to that range, mapped back."""
     out: list[int] = []
-    for rw in max_ranges(af, RangeBase.NAIVE):
+    for rw in max_ranges(af, RangeSemantics.STAGE):
         sub = af.restrict(rw.range_mask)
         for e in base_extensions(sub.framework, BaseSemantics.STABLE):
             full = sub.to_parent_mask(e)
@@ -160,22 +156,22 @@ def decide_range(
     credulous = mode is AcceptanceMode.CREDULOUS
     qbit = 1 << q
     if sem is RangeSemantics.SEMI_STABLE:
-        for rw in max_ranges(af, RangeBase.COMPLETE):
+        for rw in max_ranges(af, sem):
             undec = ~rw.range_mask & af.all_mask
             if not rw.range_mask & qbit:
                 if credulous:
                     continue
                 return False  # the witness labelling leaves q undecided
             if credulous:
-                if _find(af, "complete", force_in=qbit, force_undec=undec,
+                if _find(af, BaseSemantics.COMPLETE, force_in=qbit, force_undec=undec,
                          notundec=rw.range_mask) is not None:
                     return True
             else:
-                if _find(af, "complete", force_notin=qbit, force_undec=undec,
+                if _find(af, BaseSemantics.COMPLETE, force_notin=qbit, force_undec=undec,
                          notundec=rw.range_mask) is not None:
                     return False
         return not credulous
-    for rw in max_ranges(af, RangeBase.NAIVE):
+    for rw in max_ranges(af, sem):
         if not rw.range_mask & qbit:
             if credulous:
                 continue
@@ -184,11 +180,9 @@ def decide_range(
         sq = sub.sub_index_of(q)
         sub_af = sub.framework
         if credulous:
-            if _find(sub_af, "complete", force_in=1 << sq,
-                     notundec=sub_af.all_mask) is not None:
+            if _find(sub_af, BaseSemantics.STABLE, force_in=1 << sq) is not None:
                 return True
         else:
-            if _find(sub_af, "complete", force_out=1 << sq,
-                     notundec=sub_af.all_mask) is not None:
+            if _find(sub_af, BaseSemantics.STABLE, force_out=1 << sq) is not None:
                 return False
     return not credulous

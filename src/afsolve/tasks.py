@@ -43,6 +43,7 @@ _REDUCED = {
     (Task.DC, Semantics.PR),
     (Task.DC, Semantics.ID),
     (Task.DS, Semantics.PR),
+    (Task.DS, Semantics.ID),
 }
 
 
@@ -175,9 +176,7 @@ def _skeptical(af: ArgumentationFramework, sem: Semantics, q: int, reduce: bool)
         return kernel.find_stable(af, force_out=1 << q) is None
     if sem is Semantics.SST:
         return ranges.decide_range(af, RangeSemantics.SEMI_STABLE, AcceptanceMode.SKEPTICAL, q)
-    if sem is Semantics.STG:
-        return ranges.decide_range(af, RangeSemantics.STAGE, AcceptanceMode.SKEPTICAL, q)
-    return bool((ideal_extension(af) >> q) & 1)
+    return ranges.decide_range(af, RangeSemantics.STAGE, AcceptanceMode.SKEPTICAL, q)
 
 
 def solve(af: ArgumentationFramework, spec: TaskSpec, *, reduce_queries: bool = True) -> SolveResult:
@@ -192,6 +191,7 @@ def solve(af: ArgumentationFramework, spec: TaskSpec, *, reduce_queries: bool = 
         return SolveResult(task, count=_count_extensions(af, sem))
     q = _resolve_query(af, spec.query)
     reduce = reduce_queries and (task, sem) in _REDUCED
-    if task is Task.DC:
+    if task is Task.DC or sem is Semantics.ID:
+        # the ideal extension is unique, so DS-ID asks what DC-ID asks
         return SolveResult(task, verdict=_credulous(af, sem, q, reduce))
     return SolveResult(task, verdict=_skeptical(af, sem, q, reduce))

@@ -102,14 +102,29 @@ def test_oracle_backend(fig_file, capsys):
         ["-p", "DC-CO", "-f", "FILE", "-fo", "apx"],          # missing -a
         ["-p", "EE-CO", "-f", "FILE", "-fo", "apx", "-a", "a"],  # stray -a
         ["--nonsense"],
+        ["-p", "EE-CO", "-f", "BADFILE", "-fo", "apx"],       # not UTF-8
     ],
 )
-def test_malformed_invocations(argv, fig_file, capsys):
-    argv = [fig_file if a == "FILE" else a for a in argv]
+def test_malformed_invocations(argv, fig_file, tmp_path, capsys):
+    bad = tmp_path / "bad.apx"
+    bad.write_bytes(b"arg(a).\xff")
+    argv = [{"FILE": fig_file, "BADFILE": str(bad)}.get(a, a) for a in argv]
     code, out, err = run_cli(argv, capsys)
     assert code != 0
     assert out == ""
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [("DC-CO", "requires a query argument"), ("EE-XX", "unsupported task")],
+)
+def test_task_errors_come_before_reading_the_file(problem, message, tmp_path, capsys):
+    missing = str(tmp_path / "nosuch.apx")
+    code, out, err = run_cli(["-p", problem, "-f", missing, "-fo", "apx"], capsys)
+    assert code != 0 and out == ""
+    assert message in err
+    assert "cannot read" not in err
 
 
 def test_bad_query_and_bad_apx(tmp_path, capsys):

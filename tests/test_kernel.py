@@ -7,7 +7,6 @@ from afsolve import (
     characteristic,
     count_base,
     defends,
-    enumerate_base,
     find_complete,
     find_stable,
     grounded,
@@ -150,16 +149,20 @@ def test_enumeration_is_deterministic_and_canonical():
 
 
 def test_visitor_stop():
+    from afsolve.kernel import complete_labellings_into
+
     mutual = build(["a", "b"], [("a", "b"), ("b", "a")])
     seen = []
 
-    def visit(mask):
-        seen.append(mask)
+    def visit(in_m, out_m, ud_m):
+        seen.append(in_m)
         return False
 
-    visited = enumerate_base(mutual, BaseSemantics.COMPLETE, visit)
-    assert visited == 1
+    complete_labellings_into(mutual, visit)
     assert len(seen) == 1
+    every = []
+    complete_labellings_into(mutual, lambda i, o, u: every.append(i))
+    assert len(every) == 3
 
 
 def test_count_matches_enumeration():

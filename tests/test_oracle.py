@@ -3,7 +3,7 @@ consistency; everything else in the suite leans on this module being right."""
 
 import pytest
 
-from afsolve import ArgumentationFramework, TooLargeError, oracle_extensions, oracle_report
+from afsolve import ArgumentationFramework, TooLargeError, oracle_extensions
 from conftest import build, names_set
 
 
@@ -119,7 +119,4 @@ def test_oracle_size_guard():
 
 def test_oracle_report():
     af = build(["a", "b"], [("a", "b")])
-    report = oracle_report(af, "PR")
-    assert report.semantics == "PR"
-    assert report.extensions == frozenset({af.mask_of(["a"])})
-    assert report.elapsed >= 0.0
+    assert oracle_extensions(af, "PR") == {af.mask_of(["a"])}

@@ -3,7 +3,6 @@ import random
 from afsolve import (
     AcceptanceMode,
     BaseSemantics,
-    RangeBase,
     RangeSemantics,
     base_extensions,
     decide_range,
@@ -29,7 +28,7 @@ def test_range_of():
 
 def test_max_ranges_single_attack():
     af = build(["a", "b"], [("a", "b")])
-    witnesses = max_ranges(af, RangeBase.COMPLETE)
+    witnesses = max_ranges(af, RangeSemantics.SEMI_STABLE)
     assert len(witnesses) == 1
     assert witnesses[0].range_mask == af.all_mask
     assert witnesses[0].witness == af.mask_of(["a"])
@@ -37,7 +36,7 @@ def test_max_ranges_single_attack():
 
 def test_max_ranges_self_attacker_naive():
     af = build(["a"], [("a", "a")])
-    witnesses = max_ranges(af, RangeBase.NAIVE)
+    witnesses = max_ranges(af, RangeSemantics.STAGE)
     assert len(witnesses) == 1
     assert witnesses[0].range_mask == 0
     assert witnesses[0].witness == 0
@@ -45,7 +44,7 @@ def test_max_ranges_self_attacker_naive():
 
 def test_max_ranges_mutual_attack_collapses_to_one():
     af = build(["a", "b"], [("a", "b"), ("b", "a")])
-    witnesses = max_ranges(af, RangeBase.COMPLETE)
+    witnesses = max_ranges(af, RangeSemantics.SEMI_STABLE)
     assert len(witnesses) == 1
     assert witnesses[0].range_mask == af.all_mask
 
@@ -54,9 +53,9 @@ def test_max_ranges_properties():
     rng = random.Random(808)
     for _ in range(120):
         af = random_af(rng, rng.randint(1, 7), rng.choice([0.15, 0.4]))
-        for base, sem in ((RangeBase.COMPLETE, BaseSemantics.COMPLETE),
-                          (RangeBase.NAIVE, BaseSemantics.CONFLICT_FREE)):
-            witnesses = max_ranges(af, base)
+        for range_sem, sem in ((RangeSemantics.SEMI_STABLE, BaseSemantics.COMPLETE),
+                               (RangeSemantics.STAGE, BaseSemantics.CONFLICT_FREE)):
+            witnesses = max_ranges(af, range_sem)
             ranges = [w.range_mask for w in witnesses]
             # pairwise incomparable
             for i, r in enumerate(ranges):

@@ -104,6 +104,7 @@ def test_preprocessing_soundness_small():
                 (Task.DC, Semantics.PR),
                 (Task.DC, Semantics.ID),
                 (Task.DS, Semantics.PR),
+                (Task.DS, Semantics.ID),
             ]:
                 spec = TaskSpec(task, sem, name)
                 assert solve(af, spec).verdict == solve(af, spec, reduce_queries=False).verdict
