@@ -11,7 +11,6 @@ from .framework import (
     ApxSyntaxError,
     ArgumentationFramework,
     EmptyNameError,
-    Restriction,
     UndeclaredArgumentError,
     bits,
     canonical_key,
@@ -65,7 +64,6 @@ __all__ = [
     "ApxSyntaxError",
     "ArgumentationFramework",
     "EmptyNameError",
-    "Restriction",
     "UndeclaredArgumentError",
     "bits",
     "canonical_key",

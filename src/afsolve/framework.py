@@ -11,7 +11,6 @@ argument with index ``i`` is a member.  This gives set algebra (``|``, ``&``,
 operations per word, which is what the search kernel needs.
 """
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -145,8 +144,8 @@ class ArgumentationFramework:
             seen |= frontier
         return seen
 
-    def restrict(self, s: int) -> "Restriction":
-        """Induced sub-framework on the members of *s*."""
+    def restrict(self, s: int) -> "ArgumentationFramework":
+        """Induced sub-framework on the members of *s*, in index order."""
         kept = list(bits(s))
         sub_index = {old: new for new, old in enumerate(kept)}
         names = [self.names[old] for old in kept]
@@ -155,7 +154,7 @@ class ArgumentationFramework:
             for a, b in self.attacks
             if (s >> a) & 1 and (s >> b) & 1
         ]
-        return Restriction(ArgumentationFramework(names, pairs), kept)
+        return ArgumentationFramework(names, pairs)
 
     def to_apx(self) -> str:
         lines = [f"arg({name})." for name in self.names]
@@ -172,35 +171,6 @@ class ArgumentationFramework:
 
     def __repr__(self) -> str:
         return f"ArgumentationFramework(n={self.n}, attacks={len(self.attacks)})"
-
-
-@dataclass(frozen=True)
-class Restriction:
-    """A restricted framework plus the index mapping back to its parent.
-
-    ``kept[i]`` is the parent index of the restricted framework's argument i.
-    """
-
-    framework: ArgumentationFramework
-    kept: list[int]
-
-    def to_parent_mask(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= 1 << self.kept[i]
-        return out
-
-    def sub_index_of(self, parent_index: int) -> int | None:
-        lo, hi = 0, len(self.kept)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.kept[mid] < parent_index:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.kept) and self.kept[lo] == parent_index:
-            return lo
-        return None
 
 
 _NAME_FORBIDDEN = frozenset("(),.%")

@@ -360,13 +360,15 @@ class _Search:
         state = self._propagate(state, queue, g_init=self.all if self.closure else 0)
         if state is None:
             return
-        limit = 4 * self.n + 200
-        if sys.getrecursionlimit() < limit:
+        limit, old_limit = 4 * self.n + 200, sys.getrecursionlimit()
+        if old_limit < limit:
             sys.setrecursionlimit(limit)
         try:
             self._search(state, on_leaf)
         except _Stop:
             pass
+        finally:
+            sys.setrecursionlimit(old_limit)
 
 
 def _find(af: ArgumentationFramework, sem: BaseSemantics, **kw):
@@ -497,10 +499,13 @@ def _maximal_conflict_free(af: ArgumentationFramework) -> list[int]:
             p ^= low
             x |= low
 
-    limit = 2 * af.n + 200
-    if sys.getrecursionlimit() < limit:
+    limit, old_limit = 2 * af.n + 200, sys.getrecursionlimit()
+    if old_limit < limit:
         sys.setrecursionlimit(limit)
-    expand(0, universe, 0)
+    try:
+        expand(0, universe, 0)
+    finally:
+        sys.setrecursionlimit(old_limit)
     return out
 
 

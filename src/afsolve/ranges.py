@@ -79,19 +79,35 @@ def max_ranges(af: ArgumentationFramework, sem: RangeSemantics) -> list[RangeWit
     return found
 
 
+def _stage_pairs(af: ArgumentationFramework) -> list[tuple[int, int]]:
+    """Every stage extension with its range, as (set, range) pairs.
+
+    The stage extensions are exactly the naive sets whose range is maximal
+    among naive ranges.  Proof sketch: a stage extension S is naive, since if
+    S | {a} were conflict free for some a outside S, then a would be neither
+    in S nor attacked by S, so S | {a} would have a strictly larger range.
+    Every conflict-free set lies inside a naive set, whose range contains its
+    own, so a range maximal among naive ranges is maximal among all
+    conflict-free ranges.
+    """
+    pairs = [(s, s | af.attacked_set(s)) for s in _maximal_conflict_free(af)]
+    maximal: set[int] = set()
+    for r in sorted({r for _, r in pairs}, key=lambda m: -m.bit_count()):
+        if not any(r & k == r for k in maximal):
+            maximal.add(r)
+    return [(s, r) for s, r in pairs if r in maximal]
+
+
 def _max_ranges_naive(af: ArgumentationFramework) -> list[RangeWitness]:
+    """The maximal stage ranges, each with its canonically least witness."""
     witness_for: dict[int, int] = {}
-    for s in _maximal_conflict_free(af):
-        r = s | af.attacked_set(s)
+    for s, r in _stage_pairs(af):
         prev = witness_for.get(r)
         if prev is None or canonical_key(s, af.n) < canonical_key(prev, af.n):
             witness_for[r] = s
-    maximal: list[int] = []
-    for r in sorted(witness_for, key=lambda m: -m.bit_count()):
-        if not any(r & k == r for k in maximal):
-            maximal.append(r)
-    maximal.sort(key=lambda m: canonical_key(m, af.n))
-    return [RangeWitness(r, witness_for[r]) for r in maximal]
+    found = [RangeWitness(r, s) for r, s in witness_for.items()]
+    found.sort(key=lambda rw: canonical_key(rw.range_mask, af.n))
+    return found
 
 
 def some_range_extension(af: ArgumentationFramework, sem: RangeSemantics) -> int:
@@ -129,16 +145,11 @@ def semi_stable_all(af: ArgumentationFramework) -> list[int]:
 
 
 def stage_all(af: ArgumentationFramework) -> list[int]:
-    """All stage extensions: per maximal naive range, the stable extensions of
-    the framework restricted to that range, mapped back."""
-    out: list[int] = []
-    for rw in max_ranges(af, RangeSemantics.STAGE):
-        sub = af.restrict(rw.range_mask)
-        for e in base_extensions(sub.framework, BaseSemantics.STABLE):
-            full = sub.to_parent_mask(e)
-            assert range_of(af, full) == rw.range_mask
-            out.append(full)
-    return out
+    """All stage extensions, by canonical range order and canonically within
+    a range."""
+    pairs = _stage_pairs(af)
+    pairs.sort(key=lambda p: (canonical_key(p[1], af.n), canonical_key(p[0], af.n)))
+    return [s for s, _ in pairs]
 
 
 def decide_range(
@@ -149,40 +160,28 @@ def decide_range(
 ) -> bool:
     """Credulous / skeptical acceptance for semi-stable and stage semantics.
 
-    Iterates the maximal ranges; within each range it looks for one extension
-    with exactly that range that witnesses (credulous) or refutes (skeptical)
-    the query, stopping at the first decisive hit.
+    Stage checks q against every stage extension.  Semi-stable iterates the
+    maximal ranges; within each range it looks for one extension with exactly
+    that range that witnesses (credulous) or refutes (skeptical) the query,
+    stopping at the first decisive hit.
     """
     credulous = mode is AcceptanceMode.CREDULOUS
     qbit = 1 << q
-    if sem is RangeSemantics.SEMI_STABLE:
-        for rw in max_ranges(af, sem):
-            undec = ~rw.range_mask & af.all_mask
-            if not rw.range_mask & qbit:
-                if credulous:
-                    continue
-                return False  # the witness labelling leaves q undecided
-            if credulous:
-                if _find(af, BaseSemantics.COMPLETE, force_in=qbit, force_undec=undec,
-                         notundec=rw.range_mask) is not None:
-                    return True
-            else:
-                if _find(af, BaseSemantics.COMPLETE, force_notin=qbit, force_undec=undec,
-                         notundec=rw.range_mask) is not None:
-                    return False
-        return not credulous
+    if sem is RangeSemantics.STAGE:
+        members = (s & qbit for s, _ in _stage_pairs(af))
+        return any(members) if credulous else all(members)
     for rw in max_ranges(af, sem):
+        undec = ~rw.range_mask & af.all_mask
         if not rw.range_mask & qbit:
             if credulous:
                 continue
-            return False
-        sub = af.restrict(rw.range_mask)
-        sq = sub.sub_index_of(q)
-        sub_af = sub.framework
+            return False  # the witness labelling leaves q undecided
         if credulous:
-            if _find(sub_af, BaseSemantics.STABLE, force_in=1 << sq) is not None:
+            if _find(af, BaseSemantics.COMPLETE, force_in=qbit, force_undec=undec,
+                     notundec=rw.range_mask) is not None:
                 return True
         else:
-            if _find(sub_af, BaseSemantics.STABLE, force_out=1 << sq) is not None:
+            if _find(af, BaseSemantics.COMPLETE, force_notin=qbit, force_undec=undec,
+                     notundec=rw.range_mask) is not None:
                 return False
     return not credulous

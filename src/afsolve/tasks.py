@@ -2,10 +2,10 @@
 
 The solve() entry point routes every (task, semantics) pair to the matching
 strategy: direct search for complete and stable, the improvement loop and
-blocking enumeration for preferred, range iteration for semi-stable and
-stage, and the two-phase fixed point for ideal.  Credulous and skeptical
-queries on complete, preferred and ideal semantics first shrink the framework
-to the arguments with a directed path to the query.
+blocking enumeration for preferred, range iteration for semi-stable, the
+naive enumeration for stage, and the two-phase fixed point for ideal.
+Skeptical preferred queries and ideal queries first shrink the framework to
+the arguments with a directed path to the query.
 """
 
 from dataclasses import dataclass
@@ -39,12 +39,12 @@ class Semantics(Enum):
 PROBLEMS = tuple(f"{t.value}-{s.value}" for t in Task for s in Semantics)
 
 _REDUCED = {
-    (Task.DC, Semantics.CO),
-    (Task.DC, Semantics.PR),
     (Task.DC, Semantics.ID),
     (Task.DS, Semantics.PR),
     (Task.DS, Semantics.ID),
 }
+
+_RANGE = {Semantics.SST: RangeSemantics.SEMI_STABLE, Semantics.STG: RangeSemantics.STAGE}
 
 
 class UnknownArgumentError(ValueError):
@@ -90,8 +90,8 @@ class SolveResult:
 def reduce_to_query(af: ArgumentationFramework, q: int):
     """Framework restricted to arguments with a directed path to q, plus q's
     new index."""
-    sub = af.restrict(af.reverse_reachable(q))
-    return sub.framework, sub.sub_index_of(q)
+    kept = af.reverse_reachable(q)
+    return af.restrict(kept), (kept & ((1 << q) - 1)).bit_count()
 
 
 def _resolve_query(af: ArgumentationFramework, name: str) -> int:
@@ -108,10 +108,8 @@ def _some_extension(af: ArgumentationFramework, sem: Semantics) -> int | None:
         return kernel.some_preferred(af)
     if sem is Semantics.ST:
         return kernel.find_stable(af)
-    if sem is Semantics.SST:
-        return ranges.some_range_extension(af, RangeSemantics.SEMI_STABLE)
-    if sem is Semantics.STG:
-        return ranges.some_range_extension(af, RangeSemantics.STAGE)
+    if sem in _RANGE:
+        return ranges.some_range_extension(af, _RANGE[sem])
     return ideal_extension(af)
 
 
@@ -141,15 +139,13 @@ def _count_extensions(af: ArgumentationFramework, sem: Semantics) -> int:
 
 def _credulous(af: ArgumentationFramework, sem: Semantics, q: int, reduce: bool) -> bool:
     if sem in (Semantics.CO, Semantics.PR):
-        # credulous acceptance coincides for complete and preferred
-        target, tq = (reduce_to_query(af, q) if reduce else (af, q))
-        return kernel.find_complete(target, force_in=1 << tq) is not None
+        # credulous acceptance coincides for complete and preferred; the
+        # obligation-driven search already stays local to the query
+        return kernel.find_complete(af, force_in=1 << q) is not None
     if sem is Semantics.ST:
         return kernel.find_stable(af, force_in=1 << q) is not None
-    if sem is Semantics.SST:
-        return ranges.decide_range(af, RangeSemantics.SEMI_STABLE, AcceptanceMode.CREDULOUS, q)
-    if sem is Semantics.STG:
-        return ranges.decide_range(af, RangeSemantics.STAGE, AcceptanceMode.CREDULOUS, q)
+    if sem in _RANGE:
+        return ranges.decide_range(af, _RANGE[sem], AcceptanceMode.CREDULOUS, q)
     target, tq = (reduce_to_query(af, q) if reduce else (af, q))
     return bool((ideal_extension(target) >> tq) & 1)
 
@@ -174,9 +170,7 @@ def _skeptical(af: ArgumentationFramework, sem: Semantics, q: int, reduce: bool)
         # a stable extension omitting q must label it out; none means YES,
         # including the vacuous case of no stable extension at all
         return kernel.find_stable(af, force_out=1 << q) is None
-    if sem is Semantics.SST:
-        return ranges.decide_range(af, RangeSemantics.SEMI_STABLE, AcceptanceMode.SKEPTICAL, q)
-    return ranges.decide_range(af, RangeSemantics.STAGE, AcceptanceMode.SKEPTICAL, q)
+    return ranges.decide_range(af, _RANGE[sem], AcceptanceMode.SKEPTICAL, q)
 
 
 def solve(af: ArgumentationFramework, spec: TaskSpec, *, reduce_queries: bool = True) -> SolveResult:

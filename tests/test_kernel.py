@@ -1,7 +1,10 @@
 import random
+import sys
 
 from afsolve import (
+    ArgumentationFramework,
     BaseSemantics,
+    TaskSpec,
     base_extensions,
     canonical_key,
     characteristic,
@@ -15,6 +18,7 @@ from afsolve import (
     maximize_complete,
     oracle_extensions,
     preferred_extensions,
+    solve,
     some_preferred,
 )
 from conftest import all_three_arg_frameworks, build, random_af
@@ -222,3 +226,13 @@ def test_preferred_improvement_loop():
             assert grown in pr
             assert e & ~grown == 0
         assert set(preferred_extensions(af)) == pr
+
+
+def test_searches_restore_the_recursion_limit():
+    before = sys.getrecursionlimit()
+    chain = ArgumentationFramework([f"a{i}" for i in range(2000)], [(i, i + 1) for i in range(1999)])
+    assert solve(chain, TaskSpec.from_problem("SE-PR")).extension == chain.mask_of(chain.names[::2])
+    assert sys.getrecursionlimit() == before
+    free = ArgumentationFramework([f"a{i}" for i in range(500)], [])
+    assert base_extensions(free, BaseSemantics.NAIVE) == [free.all_mask]
+    assert sys.getrecursionlimit() == before

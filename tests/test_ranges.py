@@ -4,13 +4,18 @@ from afsolve import (
     AcceptanceMode,
     BaseSemantics,
     RangeSemantics,
+    Semantics,
+    Task,
+    TaskSpec,
     base_extensions,
+    bits,
     decide_range,
     is_extension,
     max_ranges,
     oracle_extensions,
     range_of,
     semi_stable_all,
+    solve,
     some_range_extension,
     stage_all,
 )
@@ -155,3 +160,28 @@ def test_range_is_complement_of_undec_for_complete_labellings():
         for in_m, out_m, ud_m in rows:
             assert range_of(af, in_m) == af.all_mask & ~ud_m
             assert range_of(af, in_m) == in_m | out_m
+
+
+def _stage_by_restriction(af):
+    """Stage extensions derived per maximal naive range: the stable
+    extensions of the framework restricted to the range, mapped back."""
+    out = []
+    for rw in max_ranges(af, RangeSemantics.STAGE):
+        kept = list(bits(rw.range_mask))
+        for e in base_extensions(af.restrict(rw.range_mask), BaseSemantics.STABLE):
+            out.append(sum(1 << kept[i] for i in bits(e)))
+    return out
+
+
+def test_stage_matches_restricted_stable_derivation():
+    rng = random.Random(2021)
+    for _ in range(150):
+        af = random_af(rng, rng.randint(10, 40), rng.choice([0.05, 0.1, 0.2]))
+        derived = _stage_by_restriction(af)
+        assert stage_all(af) == derived
+        for q in rng.sample(range(af.n), 3):
+            name = af.names[q]
+            dc = solve(af, TaskSpec(Task.DC, Semantics.STG, name)).verdict
+            ds = solve(af, TaskSpec(Task.DS, Semantics.STG, name)).verdict
+            assert dc == any((e >> q) & 1 for e in derived)
+            assert ds == all((e >> q) & 1 for e in derived)

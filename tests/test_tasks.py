@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import afsolve
 from afsolve import (
     PROBLEMS,
     Semantics,
@@ -15,6 +16,11 @@ from afsolve import (
     solve,
 )
 from conftest import build, random_af
+
+
+def test_every_exported_name_exists():
+    for name in afsolve.__all__:
+        assert hasattr(afsolve, name), name
 
 
 def test_problem_matrix_is_complete():
@@ -49,6 +55,10 @@ def test_reduce_to_query():
     single = build(["a"], [])
     sub, q = reduce_to_query(single, 0)
     assert sub == single and q == 0
+    # x sits below q and does not reach it, so q moves down one index
+    xab = build(["x", "a", "b"], [("a", "b")])
+    sub, q = reduce_to_query(xab, xab.index_of("b"))
+    assert sub.names == ("a", "b") and q == 1
 
 
 def test_solve_examples():
