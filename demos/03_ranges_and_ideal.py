@@ -3,8 +3,9 @@
 Semi-stable and stage extensions maximize the range (the set plus everything
 it attacks).  This walks through the maximal ranges of a framework with no
 stable extension, lists its stage extensions (the naive sets whose range is
-maximal) grouped by range, and then traces the two-phase ideal computation.
-Everything is cross-checked against the brute-force reference.
+maximal) grouped by range, and then traces the ideal computation from one
+preferred extension on a second framework.  Everything is cross-checked
+against the brute-force reference.
 
 Run with:  python3 demos/03_ranges_and_ideal.py
 """
@@ -43,11 +44,17 @@ print("semi-stable:", [show(e) for e in afs.semi_stable_all(af)])
 assert set(afs.semi_stable_all(af)) == oracle_extensions(af, "SST")
 print()
 
-profile = afs.credulous_profile(af)
-print("credulously accepted:", show(profile.cred_in))
-print("attacked by those:   ", show(profile.cred_attacked))
-seed = profile.cred_in & ~profile.cred_attacked
-print("fixed-point seed:    ", show(seed))
-print("ideal extension:     ", show(afs.ideal_extension(af)))
+# the ideal extension from one preferred extension P: a and b attack each
+# other and both attack c, c attacks d, and the unattacked g attacks h
+af = afs.parse_apx(
+    "arg(a). arg(b). arg(c). arg(d). arg(g). arg(h)."
+    "att(a,b). att(b,a). att(a,c). att(b,c). att(c,d). att(g,h)."
+)
+p = afs.some_preferred(af)
+attacked = afs.credulous_profile(af, p)
+print("a preferred extension:", show(p))
+print("attacked credulously: ", show(attacked))
+print("fixed-point seed:     ", show(p & ~attacked))
+print("ideal extension:      ", show(afs.ideal_extension(af)))
 assert {afs.ideal_extension(af)} == oracle_extensions(af, "ID")
 print("ideal matches the brute-force reference")

@@ -43,7 +43,7 @@ from .ranges import (
     some_range_extension,
     stage_all,
 )
-from .ideal import CredulousProfile, credulous_profile, ideal_extension
+from .ideal import credulous_profile, ideal_extension
 from .oracle import TooLargeError, oracle_extensions
 from .tasks import (
     PROBLEMS,
@@ -91,7 +91,6 @@ __all__ = [
     "semi_stable_all",
     "some_range_extension",
     "stage_all",
-    "CredulousProfile",
     "credulous_profile",
     "ideal_extension",
     "TooLargeError",

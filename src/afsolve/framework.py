@@ -146,6 +146,8 @@ class ArgumentationFramework:
 
     def restrict(self, s: int) -> "ArgumentationFramework":
         """Induced sub-framework on the members of *s*, in index order."""
+        if s == self.all_mask:
+            return self
         kept = list(bits(s))
         sub_index = {old: new for new, old in enumerate(kept)}
         names = [self.names[old] for old in kept]

@@ -150,7 +150,7 @@ def test_reverse_reachable_matches_transitive_closure():
 
 def test_restrict():
     af = build(["a", "b"], [("a", "b")])
-    assert af.restrict(af.all_mask) == af
+    assert af.restrict(af.all_mask) is af  # frameworks are immutable: no copy
     only_b = af.restrict(af.mask_of(["b"]))
     assert only_b.names == ("b",)
     assert only_b.attacks == ()
