@@ -30,9 +30,7 @@ Optional constraints used by the strategy layers:
 
   * ``notundec``: arguments that must end in or out (ranges, stable);
   * ``in_clauses``: masks of which at least one argument must be in
-    (strict-superset and blocking searches for preferred);
-  * ``range_clauses``: masks of which at least one argument must end in the
-    range, i.e. labelled in or out (range maximization and blocking).
+    (strict-superset and blocking searches for preferred and for ranges).
 
 All search state lives in local ints, so concurrent searches over the same
 framework never interfere.
@@ -41,7 +39,7 @@ framework never interfere.
 import sys
 from enum import Enum
 
-from .framework import ArgumentationFramework, bits, canonical_key
+from .framework import ArgumentationFramework, bits, canonical_key, mask_of_indices
 
 
 class BaseSemantics(Enum):
@@ -87,7 +85,6 @@ class _Search:
         force_notin: int = 0,
         notundec: int = 0,
         in_clauses: tuple[int, ...] = (),
-        range_clauses: tuple[int, ...] = (),
         find_first: bool = False,
     ):
         self.af = af
@@ -104,7 +101,6 @@ class _Search:
         self.force_undec = force_undec
         self.force_notin = force_notin
         self.in_clauses = tuple(c & af.all_mask for c in in_clauses)
-        self.range_clauses = tuple(c & af.all_mask for c in range_clauses)
         self.find_first = find_first
         degree = [
             (af.attackers[i].bit_count() + af.targets[i].bit_count(), i)
@@ -116,7 +112,7 @@ class _Search:
             self.pos[i] = k
 
     def _propagate(self, state, queue, g_init=0):
-        IN, OUT, UD, NI, UNJ, icls, rcls = state
+        IN, OUT, UD, NI, UNJ, icls = state
         allm = self.all
         attackers = self.attackers
         targets = self.targets
@@ -126,7 +122,7 @@ class _Search:
         recheck_g = g_init
         recheck_out = 0
         recheck_ud = 0
-        clauses_dirty = bool(icls or rcls)
+        clauses_dirty = bool(icls)
         while True:
             if queue:
                 op, bit = queue.pop()
@@ -235,33 +231,23 @@ class _Search:
                         return None
                     if pots & (pots - 1) == 0:
                         queue.append((_UD, pots))
-            elif clauses_dirty:
+            elif clauses_dirty and icls:
                 clauses_dirty = False
-                if icls:
-                    free = ~(IN | OUT | UD | NI) & allm
-                    kept = []
-                    for c in icls:
-                        if c & IN:
-                            continue
-                        cand = c & free
-                        if cand == 0:
-                            return None
-                        if cand & (cand - 1) == 0:
-                            queue.append((_IN, cand))
-                        else:
-                            kept.append(c)
-                    icls = tuple(kept)
-                if rcls:
-                    kept = []
-                    for c in rcls:
-                        if c & (IN | OUT):
-                            continue
-                        if c & ~UD == 0:
-                            return None
+                free = ~(IN | OUT | UD | NI) & allm
+                kept = []
+                for c in icls:
+                    if c & IN:
+                        continue
+                    cand = c & free
+                    if cand == 0:
+                        return None
+                    if cand & (cand - 1) == 0:
+                        queue.append((_IN, cand))
+                    else:
                         kept.append(c)
-                    rcls = tuple(kept)
+                icls = tuple(kept)
             else:
-                return (IN, OUT, UD, NI, UNJ, icls, rcls)
+                return (IN, OUT, UD, NI, UNJ, icls)
 
     def _pick(self, pool: int) -> int:
         pos = self.pos
@@ -277,7 +263,7 @@ class _Search:
         return best
 
     def _search(self, state, on_leaf):
-        IN, OUT, UD, NI, UNJ, icls, rcls = state
+        IN, OUT, UD, NI, UNJ, icls = state
         free = ~(IN | OUT | UD | NI) & self.all
         if UNJ:
             # defend the unjustified out-argument with the fewest candidate
@@ -314,26 +300,21 @@ class _Search:
             if child is not None:
                 self._search(child, on_leaf)
             return
-        if self.find_first and not icls and not rcls and free & self.notundec == 0:
+        if self.find_first and not icls and free & self.notundec == 0:
             # no pending obligation: everything still free can end undec
             if on_leaf(IN, OUT, UD | NI | free) is False:
                 raise _Stop
             return
         pool = free & self.notundec
-        if not pool and (icls or rcls):
+        if not pool and icls:
             m = 0
             for c in icls:
-                m |= c
-            for c in rcls:
                 m |= c
             pool = free & m
         if not pool:
             pool = free
         if not pool:
             # leaf: surviving not-in arguments must be undec
-            for c in rcls:
-                if not (c & (IN | OUT)):
-                    return
             if on_leaf(IN, OUT, UD | NI) is False:
                 raise _Stop
             return
@@ -356,7 +337,7 @@ class _Search:
         # self-attackers can never be labelled in, in any mode
         for i in bits(self.force_notin | _self_attackers(self.af)):
             queue.append((_NI, 1 << i))
-        state = (0, 0, 0, 0, 0, self.in_clauses, self.range_clauses)
+        state = (0, 0, 0, 0, 0, self.in_clauses)
         state = self._propagate(state, queue, g_init=self.all if self.closure else 0)
         if state is None:
             return
@@ -421,14 +402,33 @@ def characteristic(af: ArgumentationFramework, s: int) -> int:
 
 
 def grounded(af: ArgumentationFramework) -> int:
-    """Least fixed point of the characteristic function, iterated from the
-    empty set."""
-    s = 0
-    while True:
-        nxt = characteristic(af, s)
-        if nxt == s:
-            return s
-        s = nxt
+    """Least fixed point of the characteristic function, in time linear in
+    the size of the framework.
+
+    A worklist keeps, for each argument, the number of its attackers not yet
+    out.  An argument whose count reaches zero is defended by what is already
+    in, so it goes in, and its targets go out.  Every argument goes in or out
+    at most once, so every attack is followed at most twice.
+    """
+    targets: list[list[int]] = [[] for _ in range(af.n)]
+    live = [0] * af.n
+    for a, b in af.attacks:
+        targets[a].append(b)
+        live[b] += 1
+    todo = [a for a in range(af.n) if live[a] == 0]
+    out = [False] * af.n
+    members = []
+    while todo:
+        a = todo.pop()
+        members.append(a)
+        for b in targets[a]:
+            if not out[b]:
+                out[b] = True
+                for c in targets[b]:
+                    live[c] -= 1
+                    if live[c] == 0:
+                        todo.append(c)
+    return mask_of_indices(members)
 
 
 def is_extension(af: ArgumentationFramework, s: int, sem: BaseSemantics) -> bool:
@@ -509,11 +509,13 @@ def _maximal_conflict_free(af: ArgumentationFramework) -> list[int]:
     return out
 
 
-def maximize_complete(af: ArgumentationFramework, e: int) -> int:
-    """Grow a complete extension until no complete strict superset exists."""
+def maximize_complete(af: ArgumentationFramework, e: int, *, force_notin: int = 0) -> int:
+    """Grow a complete extension until no complete strict superset exists
+    that keeps every member of *force_notin* out of it."""
     while True:
-        grow = ~e & af.all_mask
-        leaf = _find(af, BaseSemantics.COMPLETE, force_in=e, in_clauses=(grow,)) if grow else None
+        grow = ~(e | force_notin) & af.all_mask
+        leaf = (_find(af, BaseSemantics.COMPLETE, force_in=e, force_notin=force_notin,
+                      in_clauses=(grow,)) if grow else None)
         if leaf is None:
             return e
         e = leaf[0]
@@ -537,8 +539,32 @@ def preferred_into(af: ArgumentationFramework, on_extension) -> None:
         if leaf is None:
             return
         e = maximize_complete(af, leaf[0])
-        if on_extension(e) is False:
-            return
+        on_extension(e)
+        blockers.append(~e & af.all_mask)
+
+
+def preferred_without(af: ArgumentationFramework, q: int) -> int | None:
+    """Some preferred extension that leaves argument *q* out, or None.
+
+    Each round takes a complete extension E that leaves q out and is not a
+    subset of a blocked set, and grows it to be maximal among the complete
+    extensions that leave q out.  If no complete extension holds E | {q}, E
+    is preferred: a preferred P above E holds q by the maximality of E, and
+    then P holds E | {q}.  Otherwise E is not preferred and is blocked.
+    Proof sketch of the None answer: a preferred P without q is complete and
+    leaves q out, so it is a subset of no blocked E (P would equal E, which
+    is not preferred), and the search would have found it.  Every round
+    blocks a new set, so the loop ends.
+    """
+    qbit = 1 << q
+    blockers: list[int] = []
+    while True:
+        leaf = _find(af, BaseSemantics.COMPLETE, force_notin=qbit, in_clauses=tuple(blockers))
+        if leaf is None:
+            return None
+        e = maximize_complete(af, leaf[0], force_notin=qbit)
+        if _find(af, BaseSemantics.COMPLETE, force_in=e | qbit) is None:
+            return e
         blockers.append(~e & af.all_mask)
 
 

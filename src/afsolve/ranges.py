@@ -4,6 +4,8 @@ The range of a set S is S plus everything S attacks; in labelling terms it is
 in | out, so range constraints are exactly undec constraints.  Maximal ranges
 are discovered one at a time: find a base set, grow its range until no base
 set exceeds it, record it, then block every range it covers and repeat.
+"The range escapes R" is an in-clause over complete labellings (see
+``_escape``), so growing and blocking need no constraint of their own.
 """
 
 from dataclasses import dataclass
@@ -36,14 +38,29 @@ def range_of(af: ArgumentationFramework, s: int) -> int:
     return s | af.attacked_set(s)
 
 
-def _grow_range(af: ArgumentationFramework, witness: int, rng: int):
-    """Maximize the range of a complete labelling: re-search under
-    range >= current, range != current."""
+def _escape(af: ArgumentationFramework, rng: int) -> int:
+    """The in-clause saying that the range of a complete labelling is not a
+    subset of *rng*.  In a complete labelling an argument is out exactly when
+    an argument that attacks it is in, so an argument outside *rng* is in the
+    range exactly when it or one of its attackers is in."""
+    outside = ~rng & af.all_mask
+    return outside | af.attackers_of_set(outside)
+
+
+def _wider(af: ArgumentationFramework, rng: int, **kw):
+    """A complete labelling that meets the constraints *kw* and whose range
+    strictly contains *rng*, or None."""
+    escape = _escape(af, rng)
+    if not escape:
+        return None
+    return _find(af, BaseSemantics.COMPLETE, notundec=rng, in_clauses=(escape,), **kw)
+
+
+def _grow_range(af: ArgumentationFramework, witness: int, rng: int, **kw):
+    """Maximize the range of a complete labelling among the labellings that
+    meet the constraints *kw*."""
     while True:
-        grow = ~rng & af.all_mask
-        if grow == 0:
-            return witness, rng
-        leaf = _find(af, BaseSemantics.COMPLETE, notundec=rng, range_clauses=(grow,))
+        leaf = _wider(af, rng, **kw)
         if leaf is None:
             return witness, rng
         witness = leaf[0]
@@ -69,12 +86,12 @@ def max_ranges(af: ArgumentationFramework, sem: RangeSemantics) -> list[RangeWit
     found: list[RangeWitness] = []
     blockers: list[int] = []
     while True:
-        leaf = _find(af, BaseSemantics.COMPLETE, range_clauses=tuple(blockers))
+        leaf = _find(af, BaseSemantics.COMPLETE, in_clauses=tuple(blockers))
         if leaf is None:
             break
         witness, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1])
         found.append(RangeWitness(rng, witness))
-        blockers.append(~rng & af.all_mask)
+        blockers.append(_escape(af, rng))
     found.sort(key=lambda rw: canonical_key(rw.range_mask, af.n))
     return found
 
@@ -160,28 +177,32 @@ def decide_range(
 ) -> bool:
     """Credulous / skeptical acceptance for semi-stable and stage semantics.
 
-    Stage checks q against every stage extension.  Semi-stable iterates the
-    maximal ranges; within each range it looks for one extension with exactly
-    that range that witnesses (credulous) or refutes (skeptical) the query,
-    stopping at the first decisive hit.
+    Stage checks q against every stage extension.  Semi-stable runs a
+    counterexample-guided loop that keeps q in (credulous) or not in
+    (skeptical).  Each round finds a complete labelling that meets that
+    constraint and whose range is not a subset of a blocked range, and grows
+    its range R to be maximal among the labellings that meet it.  If no
+    complete labelling has a range strictly above R, R is maximal among all
+    complete ranges, so the labelling is semi-stable and decides the query:
+    YES for credulous, NO for skeptical.  Otherwise every range that is a
+    subset of R is blocked and the loop repeats.  Proof sketch of the other
+    answer: a semi-stable labelling that meets the constraint has a maximal
+    range, which is no subset of a blocked R (it would equal R, which has a
+    strict superset), so the search would have found it.  Every round blocks
+    a new range, so the loop ends.
     """
     credulous = mode is AcceptanceMode.CREDULOUS
     qbit = 1 << q
     if sem is RangeSemantics.STAGE:
         members = (s & qbit for s, _ in _stage_pairs(af))
         return any(members) if credulous else all(members)
-    for rw in max_ranges(af, sem):
-        undec = ~rw.range_mask & af.all_mask
-        if not rw.range_mask & qbit:
-            if credulous:
-                continue
-            return False  # the witness labelling leaves q undecided
-        if credulous:
-            if _find(af, BaseSemantics.COMPLETE, force_in=qbit, force_undec=undec,
-                     notundec=rw.range_mask) is not None:
-                return True
-        else:
-            if _find(af, BaseSemantics.COMPLETE, force_notin=qbit, force_undec=undec,
-                     notundec=rw.range_mask) is not None:
-                return False
-    return not credulous
+    keep = {"force_in": qbit} if credulous else {"force_notin": qbit}
+    blockers: list[int] = []
+    while True:
+        leaf = _find(af, BaseSemantics.COMPLETE, in_clauses=tuple(blockers), **keep)
+        if leaf is None:
+            return not credulous
+        _, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1], **keep)
+        if _wider(af, rng) is None:
+            return credulous
+        blockers.append(_escape(af, rng))

@@ -2,10 +2,16 @@
 
 The solve() entry point routes every (task, semantics) pair to the matching
 strategy: direct search for complete and stable, the improvement loop and
-blocking enumeration for preferred, range iteration for semi-stable, the
-naive enumeration for stage, and the two-phase fixed point for ideal.
-Skeptical preferred queries and ideal queries first shrink the framework to
-the arguments with a directed path to the query.
+blocking enumeration for preferred, range growth for semi-stable, the naive
+enumeration for stage, and the two-phase fixed point for ideal.
+
+Acceptance queries avoid whole-extension work.  Skeptical preferred queries
+and ideal queries first shrink the framework to the arguments with a directed
+path to the query.  Skeptical preferred, semi-stable and ideal queries then
+try _shortcut: grounded membership and at most two complete searches.  What
+they leave open goes to a counterexample-guided loop (preferred_without in
+the kernel, decide_range for semi-stable) or, for ideal, to the ideal
+extension.
 """
 
 from dataclasses import dataclass
@@ -41,6 +47,15 @@ PROBLEMS = tuple(f"{t.value}-{s.value}" for t in Task for s in Semantics)
 _REDUCED = {
     (Task.DC, Semantics.ID),
     (Task.DS, Semantics.PR),
+    (Task.DS, Semantics.ID),
+}
+
+# acceptance queries tried by _shortcut before their loop or extension
+_SHORTCUT = {
+    (Task.DS, Semantics.PR),
+    (Task.DC, Semantics.SST),
+    (Task.DS, Semantics.SST),
+    (Task.DC, Semantics.ID),
     (Task.DS, Semantics.ID),
 }
 
@@ -137,7 +152,28 @@ def _count_extensions(af: ArgumentationFramework, sem: Semantics) -> int:
     return len(_all_extensions(af, sem))
 
 
-def _credulous(af: ArgumentationFramework, sem: Semantics, q: int, reduce: bool) -> bool:
+def _shortcut(af: ArgumentationFramework, q: int, attacker_refutes: bool) -> bool | None:
+    """A verdict from the grounded extension and at most two searches, or
+    None when they settle nothing.
+
+    Preferred, semi-stable and ideal extensions exist and hold the grounded
+    extension, so a grounded q is accepted.  Each of them lies inside a
+    preferred extension, which is complete, so a q in no complete extension
+    is rejected.  A complete extension holding an attacker of q grows to a
+    preferred one without q, which rejects q for skeptical preferred and for
+    ideal (the ideal extension is inside it); not for semi-stable, whose
+    extensions need not hold that attacker.
+    """
+    if (kernel.grounded(af) >> q) & 1:
+        return True
+    if kernel.find_complete(af, force_in=1 << q) is None:
+        return False
+    if attacker_refutes and kernel.find_complete(af, in_clauses=(af.attackers[q],)) is not None:
+        return False
+    return None
+
+
+def _credulous(af: ArgumentationFramework, sem: Semantics, q: int) -> bool:
     if sem in (Semantics.CO, Semantics.PR):
         # credulous acceptance coincides for complete and preferred; the
         # obligation-driven search already stays local to the query
@@ -146,26 +182,15 @@ def _credulous(af: ArgumentationFramework, sem: Semantics, q: int, reduce: bool)
         return kernel.find_stable(af, force_in=1 << q) is not None
     if sem in _RANGE:
         return ranges.decide_range(af, _RANGE[sem], AcceptanceMode.CREDULOUS, q)
-    target, tq = (reduce_to_query(af, q) if reduce else (af, q))
-    return bool((ideal_extension(target) >> tq) & 1)
+    return bool((ideal_extension(af) >> q) & 1)
 
 
-def _skeptical(af: ArgumentationFramework, sem: Semantics, q: int, reduce: bool) -> bool:
+def _skeptical(af: ArgumentationFramework, sem: Semantics, q: int) -> bool:
     if sem is Semantics.CO:
         # the grounded extension is the least complete extension
         return bool((kernel.grounded(af) >> q) & 1)
     if sem is Semantics.PR:
-        target, tq = (reduce_to_query(af, q) if reduce else (af, q))
-        verdict = [True]
-
-        def check(e: int):
-            if not (e >> tq) & 1:
-                verdict[0] = False
-                return False
-            return None
-
-        kernel.preferred_into(target, check)
-        return verdict[0]
+        return kernel.preferred_without(af, q) is None
     if sem is Semantics.ST:
         # a stable extension omitting q must label it out; none means YES,
         # including the vacuous case of no stable extension at all
@@ -184,8 +209,13 @@ def solve(af: ArgumentationFramework, spec: TaskSpec, *, reduce_queries: bool = 
     if task is Task.CE:
         return SolveResult(task, count=_count_extensions(af, sem))
     q = _resolve_query(af, spec.query)
-    reduce = reduce_queries and (task, sem) in _REDUCED
-    if task is Task.DC or sem is Semantics.ID:
+    if reduce_queries and (task, sem) in _REDUCED:
+        af, q = reduce_to_query(af, q)
+    verdict = None
+    if (task, sem) in _SHORTCUT:
+        verdict = _shortcut(af, q, attacker_refutes=sem is not Semantics.SST)
+    if verdict is None:
         # the ideal extension is unique, so DS-ID asks what DC-ID asks
-        return SolveResult(task, verdict=_credulous(af, sem, q, reduce))
-    return SolveResult(task, verdict=_skeptical(af, sem, q, reduce))
+        decide = _credulous if task is Task.DC or sem is Semantics.ID else _skeptical
+        verdict = decide(af, sem, q)
+    return SolveResult(task, verdict=verdict)

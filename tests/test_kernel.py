@@ -66,6 +66,36 @@ def test_grounded():
     assert chain.names_of(grounded(chain)) == ["a", "c"]
 
 
+def characteristic_fixpoint(af):
+    """The replaced grounded computation: iterate the characteristic
+    function from the empty set."""
+    s = 0
+    while True:
+        nxt = characteristic(af, s)
+        if nxt == s:
+            return s
+        s = nxt
+
+
+def test_grounded_matches_fixpoint_and_oracle():
+    rng = random.Random(1313)
+    for _ in range(2000):
+        af = random_af(rng, rng.randint(0, 9), rng.choice([0.1, 0.25, 0.5]))
+        g = grounded(af)
+        assert g == characteristic_fixpoint(af), af.attacks
+        assert {g} == oracle_extensions(af, "GR"), af.attacks
+
+
+def test_grounded_on_a_long_chain():
+    # a0 -> a1 -> ... -> a19999 -> a20000, and a20000 attacks itself: the
+    # grounded extension is the even indices below 20000
+    n = 20000
+    af = ArgumentationFramework(
+        [f"a{i}" for i in range(n + 1)], [(i, i + 1) for i in range(n)] + [(n, n)]
+    )
+    assert grounded(af) == sum(1 << i for i in range(0, n, 2))
+
+
 def test_is_extension_examples():
     ab = build(["a", "b"], [("a", "b")])
     assert is_extension(ab, ab.mask_of(["a"]), BaseSemantics.COMPLETE)
