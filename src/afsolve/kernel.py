@@ -21,10 +21,12 @@ complete or stable; naive and preferred are built on top of it.
 
 Branching is obligation-driven: while some out-labelled argument still lacks
 an in-labelled attacker, the search branches on one of its candidate
-defenders, which keeps refutations local to the query instead of wandering
-over the whole framework.  Existence queries additionally close a branch as
-soon as no obligation is pending, since labelling everything still free as
-undec then always completes the labelling.
+defenders, in first, which keeps refutations local to the query instead of
+wandering over the whole framework.  Existence searches (``find_first``) try
+not-in first on a free argument and close a branch as soon as no obligation
+is pending, since labelling everything still free as undec then completes the
+labelling.  Every other search tries in first at every decision, so its first
+leaf is subset-maximal (``maximize_complete``); preferred is built on that.
 
 Optional constraints used by the strategy layers:
 
@@ -81,7 +83,6 @@ class _Search:
         *,
         force_in: int = 0,
         force_out: int = 0,
-        force_undec: int = 0,
         force_notin: int = 0,
         notundec: int = 0,
         in_clauses: tuple[int, ...] = (),
@@ -98,7 +99,6 @@ class _Search:
         self.notundec = notundec & af.all_mask
         self.force_in = force_in
         self.force_out = force_out
-        self.force_undec = force_undec
         self.force_notin = force_notin
         self.in_clauses = tuple(c & af.all_mask for c in in_clauses)
         self.find_first = find_first
@@ -319,12 +319,10 @@ class _Search:
                 raise _Stop
             return
         bit = 1 << self._pick(pool)
-        child = self._propagate(state, [(_NI, bit)])
-        if child is not None:
-            self._search(child, on_leaf)
-        child = self._propagate(state, [(_IN, bit)])
-        if child is not None:
-            self._search(child, on_leaf)
+        for op in (_NI, _IN) if self.find_first else (_IN, _NI):
+            child = self._propagate(state, [(op, bit)])
+            if child is not None:
+                self._search(child, on_leaf)
 
     def run(self, on_leaf) -> None:
         queue = []
@@ -332,8 +330,6 @@ class _Search:
             queue.append((_IN, 1 << i))
         for i in bits(self.force_out):
             queue.append((_OUT, 1 << i))
-        for i in bits(self.force_undec):
-            queue.append((_UD, 1 << i))
         # self-attackers can never be labelled in, in any mode
         for i in bits(self.force_notin | _self_attackers(self.af)):
             queue.append((_NI, 1 << i))
@@ -352,7 +348,7 @@ class _Search:
             sys.setrecursionlimit(old_limit)
 
 
-def _find(af: ArgumentationFramework, sem: BaseSemantics, **kw):
+def _find(af: ArgumentationFramework, sem: BaseSemantics, *, find_first: bool = True, **kw):
     """First leaf of the configured search, or None."""
     box = []
 
@@ -360,7 +356,7 @@ def _find(af: ArgumentationFramework, sem: BaseSemantics, **kw):
         box.append((in_m, out_m, ud_m))
         return False
 
-    _Search(af, sem, find_first=True, **kw).run(grab)
+    _Search(af, sem, find_first=find_first, **kw).run(grab)
     return box[0] if box else None
 
 
@@ -509,36 +505,40 @@ def _maximal_conflict_free(af: ArgumentationFramework) -> list[int]:
     return out
 
 
-def maximize_complete(af: ArgumentationFramework, e: int, *, force_notin: int = 0) -> int:
-    """Grow a complete extension until no complete strict superset exists
-    that keeps every member of *force_notin* out of it."""
-    while True:
-        grow = ~(e | force_notin) & af.all_mask
-        leaf = (_find(af, BaseSemantics.COMPLETE, force_in=e, force_notin=force_notin,
-                      in_clauses=(grow,)) if grow else None)
-        if leaf is None:
-            return e
-        e = leaf[0]
+def maximize_complete(af: ArgumentationFramework, e: int = 0, **kw) -> int | None:
+    """A complete extension that holds *e*, meets the constraints *kw* and is
+    subset-maximal among those that do, or None if none does: the first leaf
+    of a search that tries in first at every decision.
+
+    Proof sketch (Di Rosa, Giunchiglia & Maratea, "Solving satisfiability
+    problems with preferences", Constraints 15 (2010)): let M be that leaf and
+    M' a complete strict superset that holds e and meets kw.  Propagation
+    keeps every labelling that agrees with the decisions, and only M agrees
+    with all of M's, so M' contradicts one.  M' agrees with every in decision
+    on M's path, as M is a subset of M', so the first decision it contradicts
+    put some b of M' to not-in.  The in branch for b holds M' and was searched
+    first, so it would have given a leaf before M.
+    """
+    leaf = _find(af, BaseSemantics.COMPLETE, find_first=False, force_in=e, **kw)
+    return leaf[0] if leaf is not None else None
 
 
 def some_preferred(af: ArgumentationFramework) -> int:
-    leaf = find_complete(af)
-    assert leaf is not None  # every framework has a complete labelling
-    return maximize_complete(af, leaf[0])
+    return maximize_complete(af)
 
 
 def preferred_into(af: ArgumentationFramework, on_extension) -> None:
     """Visit every preferred extension once, in discovery order.
 
-    Each round finds a complete extension not contained in any extension found
-    so far and maximizes it; the blocking clauses guarantee novelty.
+    Each round takes an extension maximal among the complete extensions that
+    are no subset of one found so far.  A complete strict superset would be
+    no such subset either, so it is a new preferred extension.
     """
     blockers: list[int] = []
     while True:
-        leaf = _find(af, BaseSemantics.COMPLETE, in_clauses=tuple(blockers))
-        if leaf is None:
+        e = maximize_complete(af, in_clauses=tuple(blockers))
+        if e is None:
             return
-        e = maximize_complete(af, leaf[0])
         on_extension(e)
         blockers.append(~e & af.all_mask)
 
@@ -546,23 +546,23 @@ def preferred_into(af: ArgumentationFramework, on_extension) -> None:
 def preferred_without(af: ArgumentationFramework, q: int) -> int | None:
     """Some preferred extension that leaves argument *q* out, or None.
 
-    Each round takes a complete extension E that leaves q out and is not a
-    subset of a blocked set, and grows it to be maximal among the complete
-    extensions that leave q out.  If no complete extension holds E | {q}, E
-    is preferred: a preferred P above E holds q by the maximality of E, and
-    then P holds E | {q}.  Otherwise E is not preferred and is blocked.
-    Proof sketch of the None answer: a preferred P without q is complete and
-    leaves q out, so it is a subset of no blocked E (P would equal E, which
-    is not preferred), and the search would have found it.  Every round
-    blocks a new set, so the loop ends.
+    Each round takes a complete extension E that is maximal among those that
+    leave q out and are no subset of a blocked set.  A complete strict
+    superset that leaves q out would be no such subset either, so E is
+    maximal among all that leave q out.  If no complete extension holds E | {q}, E is preferred: a
+    preferred P above E holds q by the maximality of E, and then P holds
+    E | {q}.  Otherwise E is not preferred and is blocked.  Proof sketch of
+    the None answer: a preferred P without q is complete and leaves q out,
+    so it is a subset of no blocked E (P would equal E, which is not
+    preferred), and the search would have found it.  Every round blocks a
+    new set, so the loop ends.
     """
     qbit = 1 << q
     blockers: list[int] = []
     while True:
-        leaf = _find(af, BaseSemantics.COMPLETE, force_notin=qbit, in_clauses=tuple(blockers))
-        if leaf is None:
+        e = maximize_complete(af, force_notin=qbit, in_clauses=tuple(blockers))
+        if e is None:
             return None
-        e = maximize_complete(af, leaf[0], force_notin=qbit)
         if _find(af, BaseSemantics.COMPLETE, force_in=e | qbit) is None:
             return e
         blockers.append(~e & af.all_mask)

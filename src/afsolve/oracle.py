@@ -8,8 +8,6 @@ the kernel against it on small frameworks.
 
 from .framework import ArgumentationFramework
 
-SEMANTICS_CODES = ("CO", "PR", "ST", "SST", "STG", "ID", "GR", "NAIVE", "ADM", "CF")
-
 MAX_ORACLE_ARGS = 20
 
 

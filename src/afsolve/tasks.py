@@ -1,7 +1,7 @@
 """Task dispatch: the five reasoning tasks crossed with the six semantics.
 
 The solve() entry point routes every (task, semantics) pair to the matching
-strategy: direct search for complete and stable, the improvement loop and
+strategy: direct search for complete and stable, in-first search and
 blocking enumeration for preferred, range growth for semi-stable, the naive
 enumeration for stage, and the two-phase fixed point for ideal.
 

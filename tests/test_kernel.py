@@ -258,6 +258,77 @@ def test_preferred_improvement_loop():
         assert set(preferred_extensions(af)) == pr
 
 
+def check_maximize_complete(af):
+    complete = oracle_extensions(af, "CO")
+    pr = oracle_extensions(af, "PR")
+    for e in complete:
+        grown = maximize_complete(af, e)
+        assert grown in pr and e & ~grown == 0, (af.attacks, e)
+    for q in range(af.n):
+        without = [c for c in complete if not (c >> q) & 1]
+        for e in without:
+            grown = maximize_complete(af, e, force_notin=1 << q)
+            assert grown in without and e & ~grown == 0, (af.attacks, q, e)
+            assert not any(c != grown and c & grown == grown for c in without), (af.attacks, q, e)
+
+
+def test_maximize_complete_matches_oracle():
+    # a is branched first (highest degree) and obliges b or c to be in.  With
+    # b not in, b can only end undec (y is never in, as s attacks it), so a
+    # search trying not-in first at that obligation would stop at {a, c}.
+    names = ["a", "x", "b", "c", "y", "z", "s", "d1", "d2", "d3", "d4"]
+    attacks = [("x", "a"), ("b", "x"), ("c", "x"), ("b", "y"), ("y", "b"), ("s", "s"),
+               ("s", "y"), ("c", "z"), ("z", "c")] + [("a", d) for d in names[7:]]
+    af = build(names, attacks)
+    assert af.names_of(maximize_complete(af)) == ["a", "b", "c"]
+    check_maximize_complete(af)
+    rng = random.Random(4646)
+    for _ in range(2000):
+        check_maximize_complete(random_af(rng, rng.randint(1, 9), rng.choice([0.1, 0.25, 0.5])))
+
+
+def improve_by_loop(af, e):
+    """The replaced improvement loop: one strict-superset search per step."""
+    while True:
+        grow = ~e & af.all_mask
+        leaf = find_complete(af, force_in=e, in_clauses=(grow,)) if grow else None
+        if leaf is None:
+            return e
+        e = leaf[0]
+
+
+def preferred_by_loop(af):
+    """The replaced blocking enumeration over improve_by_loop."""
+    found = []
+    while True:
+        leaf = find_complete(af, in_clauses=tuple(~e & af.all_mask for e in found))
+        if leaf is None:
+            return found
+        found.append(improve_by_loop(af, leaf[0]))
+
+
+def test_preferred_matches_improvement_loop():
+    from afsolve.kernel import complete_labellings_into
+
+    rng = random.Random(4747)
+    for _ in range(150):
+        n = rng.randint(10, 40)
+        af = random_af(rng, n, rng.choice([1.5, 3.0, 5.0]) / n)
+        old = preferred_by_loop(af)
+        assert set(preferred_extensions(af)) == set(old), af.attacks
+        assert is_extension(af, some_preferred(af), BaseSemantics.PREFERRED)
+        starts = [grounded(af)]
+
+        def keep(in_m, out_m, ud_m):
+            starts.append(in_m)
+            return len(starts) < 30
+
+        complete_labellings_into(af, keep)
+        for e in starts:
+            grown = maximize_complete(af, e)
+            assert e & ~grown == 0 and is_extension(af, grown, BaseSemantics.PREFERRED), (af.attacks, e)
+
+
 def test_searches_restore_the_recursion_limit():
     before = sys.getrecursionlimit()
     chain = ArgumentationFramework([f"a{i}" for i in range(2000)], [(i, i + 1) for i in range(1999)])

@@ -36,16 +36,16 @@ def verdicts(af, q):
 def semi_stable_by_max_ranges(af, credulous, q, found):
     """The replaced semi-stable query: per maximal range, one search for an
     extension with exactly that range that witnesses (credulous) or refutes
-    (skeptical) the query."""
+    (skeptical) the query.  A complete range that holds a maximal range is
+    that range, so notundec alone pins it."""
     qbit = 1 << q
     for rw in found:
-        undec = ~rw.range_mask & af.all_mask
         if not rw.range_mask & qbit:
             if credulous:
                 continue
             return False
         constraint = {"force_in": qbit} if credulous else {"force_notin": qbit}
-        if find_complete(af, force_undec=undec, notundec=rw.range_mask, **constraint) is not None:
+        if find_complete(af, notundec=rw.range_mask, **constraint) is not None:
             return credulous
     return not credulous
 
