@@ -459,22 +459,37 @@ def _self_attackers(af: ArgumentationFramework) -> int:
 # -- enumeration -------------------------------------------------------------
 
 
-def _maximal_conflict_free(af: ArgumentationFramework) -> list[int]:
-    """All naive sets, by maximal-clique search on the non-conflict graph.
+def _maximal_conflict_free(af: ArgumentationFramework, *, range_maximal: bool = False) -> list:
+    """All naive sets, by maximal-clique search on the non-conflict graph;
+    with *range_maximal*, the (set, range) pairs of those whose range is
+    maximal among naive ranges.
 
     Self-attackers can never be members, so they are dropped from the universe
-    up front.
+    up front.  The range bound: every naive set below a node (r, p) is r plus
+    a subset of p, so its range lies inside range(r) | p | attacked_set(p).
+    A node whose bound is a strict subset of a range already found holds no
+    set of maximal range and is skipped.  Only found ranges that contain
+    range(r) can cover the bound, so a node hands its children just those.
     """
     universe = af.all_mask & ~_self_attackers(af)
     compat = [
         universe & ~(af.attackers[i] | af.targets[i]) & ~(1 << i)
         for i in range(af.n)
     ]
-    out: list[int] = []
+    out: list = []
+    found: list[int] = []  # distinct leaf ranges, none inside an earlier one
 
-    def expand(r: int, p: int, x: int) -> None:
+    def expand(r: int, p: int, x: int, rng: int, over: list[int]) -> None:
+        # over: the found ranges that contain rng
+        if over:
+            bound = rng | p | af.attacked_set(p)
+            for k in over:
+                if bound != k and bound | k == k:
+                    return
         if p == 0 and x == 0:
-            out.append(r)
+            out.append((r, rng) if range_maximal else r)
+            if range_maximal and rng not in over:
+                found.append(rng)
             return
         # pivot on the vertex compatible with most candidates
         best_u, best_c = -1, -1
@@ -486,12 +501,19 @@ def _maximal_conflict_free(af: ArgumentationFramework) -> list[int]:
             if c > best_c:
                 best_c = c
                 best_u = low.bit_length() - 1
+        seen = len(found)
         m = p & ~compat[best_u]
         while m:
             low = m & -m
             m ^= low
-            cv = compat[low.bit_length() - 1]
-            expand(r | low, p & cv, x & cv)
+            v = low.bit_length() - 1
+            cv = compat[v]
+            if range_maximal:
+                # ranges found below earlier children contain rng as well
+                sub = rng | low | af.targets[v]
+                expand(r | low, p & cv, x & cv, sub, [k for k in over + found[seen:] if k | sub == k])
+            else:
+                expand(r | low, p & cv, x & cv, 0, over)
             p ^= low
             x |= low
 
@@ -499,10 +521,13 @@ def _maximal_conflict_free(af: ArgumentationFramework) -> list[int]:
     if old_limit < limit:
         sys.setrecursionlimit(limit)
     try:
-        expand(0, universe, 0)
+        expand(0, universe, 0, 0, [])
     finally:
         sys.setrecursionlimit(old_limit)
-    return out
+    if not range_maximal:
+        return out
+    covered = {k for i, k in enumerate(found) for j in found[i + 1:] if k | j == j}
+    return [(r, rng) for r, rng in out if rng not in covered]
 
 
 def maximize_complete(af: ArgumentationFramework, e: int = 0, **kw) -> int | None:

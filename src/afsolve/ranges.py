@@ -6,6 +6,8 @@ are discovered one at a time: find a base set, grow its range until no base
 set exceeds it, record it, then block every range it covers and repeat.
 "The range escapes R" is an in-clause over complete labellings (see
 ``_escape``), so growing and blocking need no constraint of their own.
+Stage ranges come instead from the stable extensions, if there are any, or
+else from a naive-set search that skips subtrees of covered range.
 """
 
 from dataclasses import dataclass
@@ -77,9 +79,8 @@ def max_ranges(af: ArgumentationFramework, sem: RangeSemantics) -> list[RangeWit
     The complete base discovers ranges one at a time: find a complete
     labelling whose range escapes everything recorded, maximize it, block it,
     repeat.  For the naive base that refutation search degenerates (conflict
-    free sets propagate almost nothing), while naive sets enumerate fast and
-    every range-maximal conflict-free set is naive, so the maximal ranges are
-    filtered out of the naive enumeration instead.
+    free sets propagate almost nothing), so the stage ranges come from
+    ``_stage_pairs`` instead.
     """
     if sem is RangeSemantics.STAGE:
         return _max_ranges_naive(af)
@@ -97,22 +98,24 @@ def max_ranges(af: ArgumentationFramework, sem: RangeSemantics) -> list[RangeWit
 
 
 def _stage_pairs(af: ArgumentationFramework) -> list[tuple[int, int]]:
-    """Every stage extension with its range, as (set, range) pairs.
+    """Every stage extension with its range, as (set, range) pairs: in
+    canonical order when a stable extension exists, else in the order of the
+    naive-set search.
 
-    The stage extensions are exactly the naive sets whose range is maximal
-    among naive ranges.  Proof sketch: a stage extension S is naive, since if
-    S | {a} were conflict free for some a outside S, then a would be neither
-    in S nor attacked by S, so S | {a} would have a strictly larger range.
-    Every conflict-free set lies inside a naive set, whose range contains its
-    own, so a range maximal among naive ranges is maximal among all
-    conflict-free ranges.
+    A stable extension's range is every argument, so if one exists the stage
+    extensions are exactly the stable ones (Verheij, NAIC 1996).  Otherwise
+    they are exactly the naive sets whose range is maximal among naive
+    ranges, which the range-bounded clique search returns.  Proof sketch: a
+    stage extension S is naive, since if S | {a} were conflict free for some
+    a outside S, then a would be neither in S nor attacked by S, so S | {a}
+    would have a strictly larger range.  Every conflict-free set lies inside
+    a naive set, whose range contains its own, so a range maximal among
+    naive ranges is maximal among all conflict-free ranges.
     """
-    pairs = [(s, s | af.attacked_set(s)) for s in _maximal_conflict_free(af)]
-    maximal: set[int] = set()
-    for r in sorted({r for _, r in pairs}, key=lambda m: -m.bit_count()):
-        if not any(r & k == r for k in maximal):
-            maximal.add(r)
-    return [(s, r) for s, r in pairs if r in maximal]
+    stable = base_extensions(af, BaseSemantics.STABLE)
+    if stable:
+        return [(s, af.all_mask) for s in stable]
+    return _maximal_conflict_free(af, range_maximal=True)
 
 
 def _max_ranges_naive(af: ArgumentationFramework) -> list[RangeWitness]:

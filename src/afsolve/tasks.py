@@ -2,8 +2,9 @@
 
 The solve() entry point routes every (task, semantics) pair to the matching
 strategy: direct search for complete and stable, in-first search and
-blocking enumeration for preferred, range growth for semi-stable, the naive
-enumeration for stage, and the two-phase fixed point for ideal.
+blocking enumeration for preferred, range growth for semi-stable, the stable
+extensions or else a range-bounded naive-set search for stage, and the
+two-phase fixed point for ideal.
 
 Acceptance queries avoid whole-extension work.  Skeptical preferred queries
 and ideal queries first shrink the framework to the arguments with a directed

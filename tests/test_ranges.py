@@ -1,7 +1,9 @@
 import random
+import sys
 
 from afsolve import (
     AcceptanceMode,
+    ArgumentationFramework,
     BaseSemantics,
     RangeSemantics,
     Semantics,
@@ -19,7 +21,9 @@ from afsolve import (
     some_range_extension,
     stage_all,
 )
+from afsolve.framework import canonical_key
 from afsolve.kernel import complete_labellings_into
+from afsolve.ranges import _stage_pairs
 from conftest import all_three_arg_frameworks, build, names_set, random_af
 
 
@@ -185,3 +189,95 @@ def test_stage_matches_restricted_stable_derivation():
             ds = solve(af, TaskSpec(Task.DS, Semantics.STG, name)).verdict
             assert dc == any((e >> q) & 1 for e in derived)
             assert ds == all((e >> q) & 1 for e in derived)
+
+
+def test_stage_matches_oracle_on_small_frameworks():
+    rng = random.Random(1996)
+    for _ in range(2000):
+        af = random_af(rng, rng.randint(1, 9), rng.choice([0.05, 0.1, 0.2, 0.3, 0.5]))
+        exts = oracle_extensions(af, "STG")
+        stg = stage_all(af)
+        assert len(stg) == len(exts) and set(stg) == exts
+        assert solve(af, TaskSpec(Task.SE, Semantics.STG)).extension in exts
+        for q in range(af.n):
+            name = af.names[q]
+            dc = solve(af, TaskSpec(Task.DC, Semantics.STG, name)).verdict
+            ds = solve(af, TaskSpec(Task.DS, Semantics.STG, name)).verdict
+            assert dc == any((e >> q) & 1 for e in exts)
+            assert ds == all((e >> q) & 1 for e in exts)
+
+
+def _naive_sets_unbounded(af):
+    """Every naive set, by the plain pivoted Bron-Kerbosch search that the
+    range-bounded search prunes, in the same order; kept apart from the
+    kernel so that the reference below shares no code with what it checks."""
+    loops = sum(1 << i for i in range(af.n) if (af.targets[i] >> i) & 1)
+    universe = af.all_mask & ~loops
+    compat = [universe & ~(af.attackers[i] | af.targets[i]) & ~(1 << i) for i in range(af.n)]
+    out = []
+
+    def expand(r, p, x):
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        best_u, best_c = -1, -1
+        for u in range(af.n):
+            if ((p | x) >> u) & 1 and (p & compat[u]).bit_count() > best_c:
+                best_u, best_c = u, (p & compat[u]).bit_count()
+        branch = p & ~compat[best_u]
+        for v in range(af.n):
+            if (branch >> v) & 1:
+                expand(r | 1 << v, p & compat[v], x & compat[v])
+                p &= ~(1 << v)
+                x |= 1 << v
+
+    expand(0, universe, 0)
+    return out
+
+
+def _stage_pairs_by_filtering(af, naive):
+    """The stage pairs as the naive enumeration gives them, filtered to the
+    naive sets of maximal range: the reference for the bounded search."""
+    pairs = [(s, s | af.attacked_set(s)) for s in naive]
+    maximal: set[int] = set()
+    for r in sorted({r for _, r in pairs}, key=lambda m: -m.bit_count()):
+        if not any(r & k == r for k in maximal):
+            maximal.add(r)
+    return [(s, r) for s, r in pairs if r in maximal]
+
+
+def test_stage_pairs_match_the_filtered_naive_enumeration():
+    rng = random.Random(1321)
+    bounded = 0
+    for _ in range(200):
+        af = random_af(rng, rng.randint(10, 40), rng.uniform(0.03, 0.3))
+        naive = _naive_sets_unbounded(af)
+        assert sorted(naive, key=lambda m: canonical_key(m, af.n)) == base_extensions(af, BaseSemantics.NAIVE)
+        expected = _stage_pairs_by_filtering(af, naive)
+        if base_extensions(af, BaseSemantics.STABLE):
+            # the stable path lists the stable extensions in canonical order
+            expected.sort(key=lambda p: canonical_key(p[0], af.n))
+        else:
+            bounded += 1
+        assert _stage_pairs(af) == expected
+    assert bounded >= 50
+
+
+def test_stage_on_long_chains_restores_the_recursion_limit():
+    before = sys.getrecursionlimit()
+    chain = ArgumentationFramework([f"a{i}" for i in range(2000)], [(i, i + 1) for i in range(1999)])
+    alternating = chain.mask_of(chain.names[::2])
+    assert solve(chain, TaskSpec(Task.SE, Semantics.STG)).extension == alternating
+    assert solve(chain, TaskSpec(Task.EE, Semantics.STG)).extensions == (alternating,)
+    assert solve(chain, TaskSpec(Task.CE, Semantics.STG)).count == 1
+    assert solve(chain, TaskSpec(Task.DC, Semantics.STG, "a1998")).verdict
+    assert not solve(chain, TaskSpec(Task.DS, Semantics.STG, "a1999")).verdict
+    assert sys.getrecursionlimit() == before
+    # an isolated self-attacker leaves no stable extension
+    names = [f"a{i}" for i in range(1000)] + ["loop"]
+    attacks = [(i, i + 1) for i in range(999)] + [(1000, 1000)]
+    unstable = ArgumentationFramework(names, attacks)
+    assert solve(unstable, TaskSpec(Task.EE, Semantics.STG)).extensions == (
+        unstable.mask_of(names[0:1000:2]),
+    )
+    assert sys.getrecursionlimit() == before
