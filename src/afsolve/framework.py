@@ -2,8 +2,18 @@
 
 An argumentation framework is a finite directed graph whose vertices are
 arguments and whose edges are attacks.  Frameworks are built either from apx
-text (facts ``arg(NAME).`` and ``att(NAME,NAME).``, ``%`` comments to end of
-line) or directly from a name list plus attack pairs.
+text or directly from a name list plus attack pairs.
+
+The apx grammar, exactly as ``parse_apx`` reads it:
+
+- the input is a sequence of facts ``arg(NAME).`` and ``att(NAME,NAME).``,
+  in any order;
+- a NAME is one or more characters other than whitespace (``str.isspace``)
+  and ``( ) , . %``;
+- blanks (whitespace and comments) may appear between any two tokens,
+  including between a predicate and its ``(``;
+- a comment runs from ``%`` up to the next ``\n`` or the end of the input;
+  only ``\n`` ends a comment.
 
 Argument sets are plain Python ints used as bitmasks: bit ``i`` set means the
 argument with index ``i`` is a member.  This gives set algebra (``|``, ``&``,
@@ -11,6 +21,7 @@ argument with index ``i`` is a member.  This gives set algebra (``|``, ``&``,
 operations per word, which is what the search kernel needs.
 """
 
+import re
 from typing import Iterable, Iterator, Sequence
 
 
@@ -50,13 +61,9 @@ def canonical_key(mask: int, n: int) -> int:
 
     Extensions are ordered lexicographically by their membership word over
     ascending indices (absent < present), which is the numeric order of the
-    bit-reversed mask.
+    bit-reversed mask.  *mask* must lie within the *n* arguments.
     """
-    rev = 0
-    for i in range(n):
-        if (mask >> i) & 1:
-            rev |= 1 << (n - 1 - i)
-    return rev
+    return int(format(mask, f"0{n}b")[::-1], 2) if n else 0
 
 
 class ArgumentationFramework:
@@ -182,12 +189,62 @@ def _is_name_char(ch: str) -> bool:
     return ch not in _NAME_FORBIDDEN and not ch.isspace()
 
 
+# In a str pattern, \s is str.isspace, so this class is _is_name_char.
+_NAME_CLASS = r"[^\s(),.%]"
+_NAME = f"({_NAME_CLASS}+)"
+# One whole fact and the blanks after it.  Comments are removed before the
+# scan, so every repeat here is over one character class: a failed match
+# backtracks in linear time and keeps no per-character state.
+_FACT = re.compile(
+    rf"(?:arg\s*\(\s*{_NAME}\s*\)|att\s*\(\s*{_NAME}\s*,\s*{_NAME}\s*\))\s*\.\s*"
+)
+_COMMENT = re.compile(r"%[^\n]*")
+_BLANK = re.compile(r"\s*")
+
+
 def parse_apx(text: str) -> ArgumentationFramework:
     """Parse apx text into a framework.
 
     Facts may appear in any order; att facts are validated against the full
     set of arg facts after the whole input has been read.  Duplicate arg facts
     are idempotent and duplicate att facts collapse to one edge.
+
+    Comments are removed first; the tokens around a comment stay apart,
+    because it ends at a newline or at the end of the input.  Then each
+    fact is read by one match of ``_FACT`` anchored where the previous one
+    ended.  Input the scan rejects is read again by ``_parse_by_chars``,
+    which words the error.
+    """
+    scanned = _COMMENT.sub("", text)
+    match = _FACT.match
+    index: dict[str, int] = {}
+    att_facts: list[tuple[str, str]] = []
+    pos = _BLANK.match(scanned).end()
+    end = len(scanned)
+    while pos < end:
+        fact = match(scanned, pos)
+        if fact is None:
+            return _parse_by_chars(text)
+        name, a, b = fact.groups()
+        if name is None:
+            att_facts.append((a, b))
+        elif name not in index:
+            index[name] = len(index)
+        pos = fact.end()
+    try:
+        pairs = [(index[a], index[b]) for a, b in att_facts]
+    except KeyError:
+        pass  # an att fact names an undeclared argument
+    else:
+        return ArgumentationFramework(tuple(index), pairs)
+    return _parse_by_chars(text)
+
+
+def _parse_by_chars(text: str) -> ArgumentationFramework:
+    """Read apx text one character at a time.
+
+    ``parse_apx`` calls this only on input its scan rejected, and on such
+    input it raises the first error in reading order.
     """
     pos = 0
     end = len(text)
@@ -260,9 +317,4 @@ def parse_apx(text: str) -> ArgumentationFramework:
         else:
             raise ApxSyntaxError(f"unknown predicate {predicate!r}")
 
-    for a, b in att_facts:
-        if a not in declared:
-            raise UndeclaredArgumentError(f"att references undeclared argument {a!r}")
-        if b not in declared:
-            raise UndeclaredArgumentError(f"att references undeclared argument {b!r}")
     return ArgumentationFramework.build(names, att_facts)

@@ -1,16 +1,25 @@
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from afsolve import (
+    ApxError,
     ApxSyntaxError,
     ArgumentationFramework,
     EmptyNameError,
     UndeclaredArgumentError,
     bits,
+    canonical_key,
     parse_apx,
 )
+from afsolve import framework
 from conftest import build, random_af
+from test_fuzz import SEEDS, mutate
 
 
 def test_parse_basic():
@@ -30,8 +39,9 @@ def test_parse_empty_input():
 
 
 def test_parse_undeclared_argument():
-    with pytest.raises(UndeclaredArgumentError):
+    with pytest.raises(UndeclaredArgumentError) as caught:
         parse_apx("att(a,b).")
+    assert caught.value.__context__ is None  # no lookup failure chained to it
 
 
 def test_parse_att_before_arg_is_fine():
@@ -180,3 +190,202 @@ def test_build_rejects_bad_input():
         ArgumentationFramework(["a", "a"], [])
     with pytest.raises(ValueError):
         ArgumentationFramework(["a"], [(0, 3)])
+
+
+def _canonical_key_by_bits(mask, n):
+    """The bit-by-bit loop that ``canonical_key`` replaced."""
+    rev = 0
+    for i in range(n):
+        if (mask >> i) & 1:
+            rev |= 1 << (n - 1 - i)
+    return rev
+
+
+def test_canonical_key_matches_the_bit_loop():
+    rng = random.Random(41)
+    for n in [*range(71), 2500]:
+        masks = {0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(20))}
+        for mask in masks:
+            assert canonical_key(mask, n) == _canonical_key_by_bits(mask, n), (mask, n)
+
+
+def _parse_apx_by_chars(text: str) -> ArgumentationFramework:
+    """The character loop that ``parse_apx`` used before its fact scanner,
+    kept as the reference of the differential tests below."""
+    pos = 0
+    end = len(text)
+
+    def skip_blank(i: int) -> int:
+        while i < end:
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+            elif ch == "%":
+                while i < end and text[i] != "\n":
+                    i += 1
+            else:
+                break
+        return i
+
+    def read_name(i: int) -> tuple[str, int]:
+        start = i
+        while i < end and framework._is_name_char(text[i]):
+            i += 1
+        return text[start:i], i
+
+    names: list[str] = []
+    declared: set[str] = set()
+    att_facts: list[tuple[str, str]] = []
+
+    while True:
+        pos = skip_blank(pos)
+        if pos >= end:
+            break
+        predicate, pos = read_name(pos)
+        if not predicate:
+            raise ApxSyntaxError(f"unexpected character {text[pos]!r} at offset {pos}")
+        pos = skip_blank(pos)
+        if pos >= end or text[pos] != "(":
+            raise ApxSyntaxError(f"expected '(' after {predicate!r}")
+        pos += 1
+        terms: list[str] = []
+        while True:
+            pos = skip_blank(pos)
+            term, pos = read_name(pos)
+            if not term:
+                raise EmptyNameError(f"empty argument name in {predicate!r} fact")
+            terms.append(term)
+            pos = skip_blank(pos)
+            if pos >= end:
+                raise ApxSyntaxError("unterminated fact at end of input")
+            if text[pos] == ",":
+                pos += 1
+                continue
+            if text[pos] == ")":
+                pos += 1
+                break
+            raise ApxSyntaxError(f"expected ',' or ')' at offset {pos}")
+        pos = skip_blank(pos)
+        if pos >= end or text[pos] != ".":
+            raise ApxSyntaxError(f"missing terminating period after {predicate!r} fact")
+        pos += 1
+
+        if predicate == "arg":
+            if len(terms) != 1:
+                raise ApxSyntaxError(f"arg fact takes one name, got {len(terms)}")
+            if terms[0] not in declared:
+                declared.add(terms[0])
+                names.append(terms[0])
+        elif predicate == "att":
+            if len(terms) != 2:
+                raise ApxSyntaxError(f"att fact takes two names, got {len(terms)}")
+            att_facts.append((terms[0], terms[1]))
+        else:
+            raise ApxSyntaxError(f"unknown predicate {predicate!r}")
+
+    for a, b in att_facts:
+        if a not in declared:
+            raise UndeclaredArgumentError(f"att references undeclared argument {a!r}")
+        if b not in declared:
+            raise UndeclaredArgumentError(f"att references undeclared argument {b!r}")
+    return ArgumentationFramework.build(names, att_facts)
+
+
+def _outcome(parse, text):
+    try:
+        af = parse(text)
+    except ApxError as exc:
+        return type(exc), str(exc)
+    return af.names, af.attacks
+
+
+def test_parse_apx_matches_the_character_loop_on_fuzzed_text():
+    rng = random.Random(2026)
+    failures = 0
+    for _ in range(20000):
+        text = mutate(rng, rng.choice(SEEDS))
+        expected = _outcome(_parse_apx_by_chars, text)
+        failures += isinstance(expected[0], type)
+        assert _outcome(parse_apx, text) == expected, repr(text)
+    assert 0 < failures < 20000  # both valid and malformed texts were drawn
+
+
+NAME_CHARS = "ab_-'019é∀\x00\x1b\u200b"  # U+200B is a format character, not a space
+BLANKS = ("", " ", "\t", "\r", "\n", "\r\n", "\x0b", "\x85", "\u3000",
+          "%\n", "% c (),.%\n", "%%\r\n", " %x\n\t",
+          "%\rarg(r).\n", "%\u2028arg(u).\n")  # only \n ends a comment
+TOKEN = re.compile(r"[(),.]|[^(),.\n]+")
+
+
+def _decorated_apx(rng, af):
+    """*af* as apx text with random blanks and comments between its tokens."""
+    out = [rng.choice(BLANKS)]
+    for token in TOKEN.findall(af.to_apx()):
+        out += [token, rng.choice(BLANKS)]
+    if rng.random() < 0.3:
+        out.append("% comment at the end without a newline")
+    return "".join(out)
+
+
+def test_parse_apx_reads_decorated_text_without_the_character_loop(monkeypatch):
+    rng = random.Random(2027)
+    texts = []
+    for _ in range(500):
+        n = rng.randint(0, 9)
+        names = []
+        while len(names) < n:
+            name = "".join(rng.choices(NAME_CHARS, k=rng.randint(1, 4)))
+            if name not in names:
+                names.append(name)
+        af = ArgumentationFramework(names, random_af(rng, n, 0.3).attacks)
+        text = _decorated_apx(rng, af)
+        assert _parse_apx_by_chars(text) == af, repr(text)
+        texts.append((text, af))
+
+    def no_fallback(text):
+        raise AssertionError(f"valid input fell back to the character loop: {text!r}")
+
+    monkeypatch.setattr(framework, "_parse_by_chars", no_fallback)
+    for text, af in texts:
+        assert parse_apx(text) == af, repr(text)
+
+
+def test_scanner_classes_agree_with_the_character_loop_on_every_code_point():
+    every = "".join(map(chr, range(0x110000)))
+    name_chars = "".join(re.findall(framework._NAME_CLASS, every))
+    assert name_chars == "".join(filter(framework._is_name_char, every))
+    assert "".join(re.findall(r"\s", every)) == "".join(filter(str.isspace, every))
+
+
+# Each input is built and parsed in a child process, so that a regex that
+# backtracks or rescans fails the test at the time limit instead of hanging.
+GUARD = """
+import sys
+from afsolve import ApxError, parse_apx
+try:
+    parse_apx({text})
+except ApxError:
+    sys.exit(0)
+sys.exit("parsed without an ApxError")
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '"%" * 200_000 + "\\narg(a"',
+        '" " * 200_000 + "arg(a"',
+        '"arg(" + "x" * 100_000',
+        '"".join(f"arg(a{i}).\\n" for i in range(20_000)) + "att(a0 a1)."',
+    ],
+    ids=["long-comment", "long-blank", "long-name", "many-facts"],
+)
+def test_malformed_input_fails_in_linear_time(text):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD.format(text=text)],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert proc.returncode == 0, proc.stderr
