@@ -1,16 +1,20 @@
 """Backtracking search over three-valued labellings, and the base semantics.
 
-The engine assigns each argument one of the labels in / out / undec, with an
-intermediate "not-in" mark for arguments known to end up out or undec.  It
-branches on one argument at a time (in vs not-in) and propagates the labelling
-constraints to a fixpoint between branches:
+The engine labels arguments in or out, or marks them "not-in" when they are
+known to end up out or undec.  It branches on one argument at a time (in vs
+not-in) and propagates the labelling constraints to a fixpoint between
+branches:
 
   * an attacker labelled in forces its targets out;
   * an argument labelled in forces its attackers out (defense);
   * an argument labelled out must eventually have an attacker labelled in
     (unit-forced when a single candidate remains, conflict when none);
-  * in complete mode an argument whose attackers are all out is forced in,
-    and an undec argument needs an undec attacker (same unit/conflict rules).
+  * in complete mode an argument whose attackers are all out is forced in;
+  * a not-in argument that may not end undec is forced out.
+
+Propagation acts on masks: each step applies a whole batch of pending labels,
+so new in-arguments force the union of their rows out at once, and a conflict
+is a non-empty intersection (``_Search._propagate``).
 
 When no free argument remains, every surviving not-in argument can only be
 undec, so leaves resolve deterministically; each complete labelling (or
@@ -41,7 +45,7 @@ framework never interfere.
 import sys
 from enum import Enum
 
-from .framework import ArgumentationFramework, bits, canonical_key, mask_of_indices
+from .framework import ArgumentationFramework, canonical_key, mask_of_indices
 
 
 class BaseSemantics(Enum):
@@ -56,8 +60,6 @@ class BaseSemantics(Enum):
 class _Stop(Exception):
     pass
 
-
-_IN, _OUT, _UD, _NI = 0, 1, 2, 3
 
 # (defense, closure) of each base semantics the search enumerates directly;
 # stable is complete with undec forbidden
@@ -102,157 +104,142 @@ class _Search:
         self.force_notin = force_notin
         self.in_clauses = tuple(c & af.all_mask for c in in_clauses)
         self.find_first = find_first
-        degree = [
-            (af.attackers[i].bit_count() + af.targets[i].bit_count(), i)
-            for i in range(af.n)
+        # branching rank: higher degree first, then lower index
+        n = af.n
+        self.pos = [
+            (2 * n - af.attackers[i].bit_count() - af.targets[i].bit_count()) * n + i
+            for i in range(n)
         ]
-        self.order = [i for _, i in sorted(degree, key=lambda d: (-d[0], d[1]))]
-        self.pos = [0] * af.n
-        for k, i in enumerate(self.order):
-            self.pos[i] = k
 
-    def _propagate(self, state, queue, g_init=0):
-        IN, OUT, UD, NI, UNJ, icls = state
+    def _propagate(self, state, f_in=0, f_out=0, f_ni=0, recheck_g=0):
+        """The least fixpoint of the labelling rules above *state* with the
+        pending labels f_in / f_out / f_ni added, or None on a conflict.
+
+        A state is (IN, OUT, NI, ATK, icls): the in, out and not-in masks,
+        the arguments IN attacks, and the in-clauses not yet satisfied.
+        Labels are applied a mask at a time: a batch of new in-arguments
+        forces the union of their rows out in one step, a conflict is a
+        non-empty intersection, and the only per-argument loops are the
+        unions of rows and the unit checks.  recheck_g seeds the closure
+        check (every argument at the root).
+
+        Proof sketch that batching changes no result: every rule is monotone
+        in the partial labelling, whose sets IN, OUT and the not-in set
+        NI | OUT only grow.  A unit rule that fires in a state S holds in
+        every consistent fixpoint above S, since the other candidates are
+        already labelled against it there too; a conflict in S is one in
+        every state above S.  So every label derived lies in each consistent
+        fixpoint above the start, and a derived conflict means there is none.
+        The loop stops only at a fixpoint, so it returns the least one (or
+        None), whatever the order and grouping in which labels were applied.
+        ATK and the kept clauses (those not satisfied, with at least two free
+        members) are functions of that fixpoint.  The recheck sets only say
+        where a unit rule may newly fire, and testing a superset is sound,
+        since a test only applies a rule: recheck_out takes the targets of
+        every new out-argument, free before or not, and recheck_out & OUT &
+        ~ATK with a larger OUT at most tests more outs.  The closure check
+        skips IN | OUT: an out-argument whose attackers are all out has no
+        free attacker left, so the out check (which saw it come out, or saw
+        its last attacker come out) returns the same conflict.
+        """
+        IN, OUT, NI, ATK, icls = state
         allm = self.all
         attackers = self.attackers
         targets = self.targets
         closure = self.closure
         defense = self.defense
         notundec = self.notundec
-        recheck_g = g_init
         recheck_out = 0
-        recheck_ud = 0
-        clauses_dirty = bool(icls)
         while True:
-            if queue:
-                op, bit = queue.pop()
-                if op == _IN:
-                    if bit & (OUT | UD | NI):
-                        return None
-                    if bit & IN:
-                        continue
-                    IN |= bit
-                    i = bit.bit_length() - 1
-                    UNJ &= ~targets[i]
-                    forced = targets[i]
+            if f_in:
+                if f_in & (OUT | NI):
+                    return None
+                new = f_in & ~IN
+                f_in = 0
+                IN |= new
+                hit = 0
+                while new:
+                    low = new & -new
+                    new ^= low
+                    i = low.bit_length() - 1
+                    hit |= targets[i]
                     if defense:
-                        forced |= attackers[i]
-                    m = forced
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        queue.append((_OUT, low))
-                    clauses_dirty = True
-                elif op == _OUT:
-                    if bit & (IN | UD):
-                        return None
-                    if bit & OUT:
-                        continue
-                    was_free = not (bit & NI)
-                    OUT |= bit
-                    NI &= ~bit
-                    i = bit.bit_length() - 1
-                    if not (attackers[i] & IN):
-                        UNJ |= bit
-                    recheck_out |= bit
-                    t = targets[i]
-                    if closure:
-                        recheck_g |= t
-                        recheck_ud |= t & UD
-                    if was_free:
-                        recheck_out |= t & OUT
-                    clauses_dirty = True
-                elif op == _UD:
-                    if bit & (IN | OUT) or bit & notundec:
-                        return None
-                    if bit & UD:
-                        continue
-                    UD |= bit
-                    NI &= ~bit
-                    i = bit.bit_length() - 1
-                    if closure:
-                        m = attackers[i] | targets[i]
-                        while m:
-                            low = m & -m
-                            m ^= low
-                            queue.append((_NI, low))
-                        recheck_ud |= bit
-                    recheck_out |= targets[i] & OUT
-                    clauses_dirty = True
-                else:  # not-in
-                    if bit & IN:
-                        return None
-                    if bit & (OUT | UD | NI):
-                        continue
-                    if bit & notundec:
-                        queue.append((_OUT, bit))
-                        continue
-                    NI |= bit
-                    i = bit.bit_length() - 1
-                    recheck_out |= targets[i] & OUT
-                    clauses_dirty = True
-            elif recheck_g:
-                m = recheck_g
+                        f_out |= attackers[i]
+                ATK |= hit
+                f_out |= hit
+            if f_out:
+                if f_out & IN:
+                    return None
+                new = f_out & ~OUT
+                f_out = 0
+                OUT |= new
+                NI &= ~new
+                recheck_out |= new
+                hit = 0
+                while new:
+                    low = new & -new
+                    new ^= low
+                    hit |= targets[low.bit_length() - 1]
+                recheck_out |= hit
+                if closure:
+                    recheck_g |= hit
+            if f_ni:
+                if f_ni & IN:
+                    return None
+                new = f_ni & ~(OUT | NI)
+                f_ni = 0
+                f_out |= new & notundec
+                new &= ~notundec
+                NI |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    recheck_out |= targets[low.bit_length() - 1]
+            if f_out:
+                continue
+            if recheck_g:
+                m = recheck_g & ~(IN | OUT)
                 recheck_g = 0
                 while m:
                     low = m & -m
                     m ^= low
-                    if not (low & IN):
-                        i = low.bit_length() - 1
-                        if attackers[i] & ~OUT == 0:
-                            queue.append((_IN, low))
-            elif recheck_out:
-                m = recheck_out & OUT
+                    if not attackers[low.bit_length() - 1] & ~OUT:
+                        f_in |= low
+            free = ~(IN | OUT | NI) & allm
+            if recheck_out:
+                m = recheck_out & OUT & ~ATK
                 recheck_out = 0
-                free = ~(IN | OUT | UD | NI) & allm
                 while m:
                     low = m & -m
                     m ^= low
-                    att = attackers[low.bit_length() - 1]
-                    if att & IN:
-                        continue
-                    cand = att & free
-                    if cand == 0:
+                    cand = attackers[low.bit_length() - 1] & free
+                    if not cand:
                         return None
-                    if cand & (cand - 1) == 0:
-                        queue.append((_IN, cand))
-            elif recheck_ud:
-                m = recheck_ud & UD
-                recheck_ud = 0
-                free = ~(IN | OUT | UD | NI) & allm
-                while m:
-                    low = m & -m
-                    m ^= low
-                    att = attackers[low.bit_length() - 1]
-                    if att & UD:
-                        continue
-                    pots = att & (NI | free)
-                    if pots == 0:
-                        return None
-                    if pots & (pots - 1) == 0:
-                        queue.append((_UD, pots))
-            elif clauses_dirty and icls:
-                clauses_dirty = False
-                free = ~(IN | OUT | UD | NI) & allm
+                    if not cand & (cand - 1):
+                        f_in |= cand
+            if f_in:
+                continue
+            if icls:
                 kept = []
                 for c in icls:
                     if c & IN:
                         continue
                     cand = c & free
-                    if cand == 0:
+                    if not cand:
                         return None
-                    if cand & (cand - 1) == 0:
-                        queue.append((_IN, cand))
+                    if not cand & (cand - 1):
+                        f_in |= cand
                     else:
                         kept.append(c)
                 icls = tuple(kept)
-            else:
-                return (IN, OUT, UD, NI, UNJ, icls)
+                if f_in:
+                    continue
+            return (IN, OUT, NI, ATK, icls)
 
     def _pick(self, pool: int) -> int:
         pos = self.pos
-        best = -1
-        best_pos = self.n
+        best = pool.bit_length() - 1
+        best_pos = pos[best]
         while pool:
             low = pool & -pool
             pool ^= low
@@ -263,8 +250,9 @@ class _Search:
         return best
 
     def _search(self, state, on_leaf):
-        IN, OUT, UD, NI, UNJ, icls = state
-        free = ~(IN | OUT | UD | NI) & self.all
+        IN, OUT, NI, ATK, icls = state
+        free = ~(IN | OUT | NI) & self.all
+        UNJ = OUT & ~ATK
         if UNJ:
             # defend the unjustified out-argument with the fewest candidate
             # attackers (fail-first); among its candidates prefer the one that
@@ -293,16 +281,16 @@ class _Search:
                     best_c = c
                     best_v = i
             bit = 1 << best_v
-            child = self._propagate(state, [(_IN, bit)])
+            child = self._propagate(state, f_in=bit)
             if child is not None:
                 self._search(child, on_leaf)
-            child = self._propagate(state, [(_NI, bit)])
+            child = self._propagate(state, f_ni=bit)
             if child is not None:
                 self._search(child, on_leaf)
             return
         if self.find_first and not icls and free & self.notundec == 0:
             # no pending obligation: everything still free can end undec
-            if on_leaf(IN, OUT, UD | NI | free) is False:
+            if on_leaf(IN, OUT, NI | free) is False:
                 raise _Stop
             return
         pool = free & self.notundec
@@ -315,26 +303,24 @@ class _Search:
             pool = free
         if not pool:
             # leaf: surviving not-in arguments must be undec
-            if on_leaf(IN, OUT, UD | NI) is False:
+            if on_leaf(IN, OUT, NI) is False:
                 raise _Stop
             return
         bit = 1 << self._pick(pool)
-        for op in (_NI, _IN) if self.find_first else (_IN, _NI):
-            child = self._propagate(state, [(op, bit)])
+        for f_in, f_ni in ((0, bit), (bit, 0)) if self.find_first else ((bit, 0), (0, bit)):
+            child = self._propagate(state, f_in=f_in, f_ni=f_ni)
             if child is not None:
                 self._search(child, on_leaf)
 
     def run(self, on_leaf) -> None:
-        queue = []
-        for i in bits(self.force_in):
-            queue.append((_IN, 1 << i))
-        for i in bits(self.force_out):
-            queue.append((_OUT, 1 << i))
-        # self-attackers can never be labelled in, in any mode
-        for i in bits(self.force_notin | _self_attackers(self.af)):
-            queue.append((_NI, 1 << i))
-        state = (0, 0, 0, 0, 0, self.in_clauses)
-        state = self._propagate(state, queue, g_init=self.all if self.closure else 0)
+        state = self._propagate(
+            (0, 0, 0, 0, self.in_clauses),
+            f_in=self.force_in,
+            f_out=self.force_out,
+            # self-attackers can never be labelled in, in any mode
+            f_ni=self.force_notin | _self_attackers(self.af),
+            recheck_g=self.all if self.closure else 0,
+        )
         if state is None:
             return
         limit, old_limit = 4 * self.n + 200, sys.getrecursionlimit()

@@ -21,6 +21,8 @@ from afsolve import (
     solve,
     some_preferred,
 )
+from afsolve.framework import bits
+from afsolve.kernel import _SEARCHED, _Search, _self_attackers, _Stop
 from conftest import all_three_arg_frameworks, build, random_af
 
 _ORACLE_CODE = {
@@ -337,3 +339,232 @@ def test_searches_restore_the_recursion_limit():
     free = ArgumentationFramework([f"a{i}" for i in range(500)], [])
     assert base_extensions(free, BaseSemantics.NAIVE) == [free.all_mask]
     assert sys.getrecursionlimit() == before
+
+
+_IN, _OUT, _UD, _NI = 0, 1, 2, 3
+
+
+class _QueueSearch(_Search):
+    """The replaced tuple-queue propagation as the reference.  Every
+    propagation call runs it and the mask-level one, asserts that both reach
+    the same fixpoint (or both a conflict), and goes on from the reference's;
+    run() seeds the queue as the replaced search did.  The reference still
+    has an undec label (UD) and its rules; nothing ever seeds one, so the
+    mask-level state has no UD, and this asserts that UD stays empty.  It
+    carries UNJ, the out-arguments no in-argument attacks, where the
+    mask-level state carries ATK, the arguments IN attacks; at a fixpoint
+    ATK lies inside OUT, so UNJ = OUT & ~ATK and ATK = OUT & ~UNJ."""
+
+    def _queue_propagate(self, state, queue, g_init=0):
+        IN, OUT, UD, NI, UNJ, icls = state
+        allm = self.all
+        attackers = self.attackers
+        targets = self.targets
+        closure = self.closure
+        defense = self.defense
+        notundec = self.notundec
+        recheck_g = g_init
+        recheck_out = 0
+        recheck_ud = 0
+        clauses_dirty = bool(icls)
+        while True:
+            if queue:
+                op, bit = queue.pop()
+                if op == _IN:
+                    if bit & (OUT | UD | NI):
+                        return None
+                    if bit & IN:
+                        continue
+                    IN |= bit
+                    i = bit.bit_length() - 1
+                    UNJ &= ~targets[i]
+                    forced = targets[i]
+                    if defense:
+                        forced |= attackers[i]
+                    m = forced
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        queue.append((_OUT, low))
+                    clauses_dirty = True
+                elif op == _OUT:
+                    if bit & (IN | UD):
+                        return None
+                    if bit & OUT:
+                        continue
+                    was_free = not (bit & NI)
+                    OUT |= bit
+                    NI &= ~bit
+                    i = bit.bit_length() - 1
+                    if not (attackers[i] & IN):
+                        UNJ |= bit
+                    recheck_out |= bit
+                    t = targets[i]
+                    if closure:
+                        recheck_g |= t
+                        recheck_ud |= t & UD
+                    if was_free:
+                        recheck_out |= t & OUT
+                    clauses_dirty = True
+                elif op == _UD:
+                    if bit & (IN | OUT) or bit & notundec:
+                        return None
+                    if bit & UD:
+                        continue
+                    UD |= bit
+                    NI &= ~bit
+                    i = bit.bit_length() - 1
+                    if closure:
+                        m = attackers[i] | targets[i]
+                        while m:
+                            low = m & -m
+                            m ^= low
+                            queue.append((_NI, low))
+                        recheck_ud |= bit
+                    recheck_out |= targets[i] & OUT
+                    clauses_dirty = True
+                else:  # not-in
+                    if bit & IN:
+                        return None
+                    if bit & (OUT | UD | NI):
+                        continue
+                    if bit & notundec:
+                        queue.append((_OUT, bit))
+                        continue
+                    NI |= bit
+                    i = bit.bit_length() - 1
+                    recheck_out |= targets[i] & OUT
+                    clauses_dirty = True
+            elif recheck_g:
+                m = recheck_g
+                recheck_g = 0
+                while m:
+                    low = m & -m
+                    m ^= low
+                    if not (low & IN):
+                        i = low.bit_length() - 1
+                        if attackers[i] & ~OUT == 0:
+                            queue.append((_IN, low))
+            elif recheck_out:
+                m = recheck_out & OUT
+                recheck_out = 0
+                free = ~(IN | OUT | UD | NI) & allm
+                while m:
+                    low = m & -m
+                    m ^= low
+                    att = attackers[low.bit_length() - 1]
+                    if att & IN:
+                        continue
+                    cand = att & free
+                    if cand == 0:
+                        return None
+                    if cand & (cand - 1) == 0:
+                        queue.append((_IN, cand))
+            elif recheck_ud:
+                m = recheck_ud & UD
+                recheck_ud = 0
+                free = ~(IN | OUT | UD | NI) & allm
+                while m:
+                    low = m & -m
+                    m ^= low
+                    att = attackers[low.bit_length() - 1]
+                    if att & UD:
+                        continue
+                    pots = att & (NI | free)
+                    if pots == 0:
+                        return None
+                    if pots & (pots - 1) == 0:
+                        queue.append((_UD, pots))
+            elif clauses_dirty and icls:
+                clauses_dirty = False
+                free = ~(IN | OUT | UD | NI) & allm
+                kept = []
+                for c in icls:
+                    if c & IN:
+                        continue
+                    cand = c & free
+                    if cand == 0:
+                        return None
+                    if cand & (cand - 1) == 0:
+                        queue.append((_IN, cand))
+                    else:
+                        kept.append(c)
+                icls = tuple(kept)
+            else:
+                return (IN, OUT, UD, NI, UNJ, icls)
+
+    def _checked(self, state, queue, g_init):
+        IN, OUT, NI, ATK, icls = state
+        want = self._queue_propagate((IN, OUT, 0, NI, OUT & ~ATK, icls), list(queue), g_init)
+        if want is not None:
+            IN, OUT, UD, NI, UNJ, icls = want
+            assert UD == 0, (self.af.attacks, state, queue)
+            want = (IN, OUT, NI, OUT & ~UNJ, icls)
+        masks = [0, 0, 0, 0]
+        for op, bit in queue:
+            masks[op] |= bit
+        got = _Search._propagate(
+            self, state, f_in=masks[_IN], f_out=masks[_OUT], f_ni=masks[_NI], recheck_g=g_init
+        )
+        assert got == want, (self.af.attacks, state, queue)
+        self.calls += 1
+        return want
+
+    def _propagate(self, state, f_in=0, f_out=0, f_ni=0, recheck_g=0):
+        queue = [(op, 1 << i) for op, m in ((_IN, f_in), (_OUT, f_out), (_NI, f_ni)) for i in bits(m)]
+        return self._checked(state, queue, recheck_g)
+
+    def run(self, on_leaf):
+        self.calls = 0
+        queue = []
+        for i in bits(self.force_in):
+            queue.append((_IN, 1 << i))
+        for i in bits(self.force_out):
+            queue.append((_OUT, 1 << i))
+        for i in bits(self.force_notin | _self_attackers(self.af)):
+            queue.append((_NI, 1 << i))
+        state = self._checked((0, 0, 0, 0, self.in_clauses), queue, self.all if self.closure else 0)
+        if state is None:
+            return
+        try:
+            self._search(state, on_leaf)
+        except _Stop:
+            pass
+
+
+def test_mask_propagation_matches_the_tuple_queue():
+    rng = random.Random(1717)
+
+    def some(n, p):
+        return sum(1 << i for i in range(n) if rng.random() < p)
+
+    def leaves(cls, af, sem, kw):
+        found = []
+
+        def keep(in_m, out_m, ud_m):
+            found.append((in_m, out_m, ud_m))
+            return len(found) < 40
+
+        search = cls(af, sem, **kw)
+        search.run(keep)
+        return found, search
+
+    calls = total = 0
+    for _ in range(120):
+        n = rng.randint(10, 40)
+        af = random_af(rng, n, rng.choice([1.0, 2.0, 4.0]) / n)
+        for sem in _SEARCHED:
+            for constrained in (False, True):
+                kw = {"find_first": rng.random() < 0.5}
+                if constrained:
+                    kw.update(
+                        force_in=some(n, 0.03), force_out=some(n, 0.03),
+                        force_notin=some(n, 0.05), notundec=some(n, rng.choice([0.1, 0.5])),
+                        in_clauses=tuple(some(n, 0.2) for _ in range(rng.randint(0, 3))),
+                    )
+                want, ref = leaves(_QueueSearch, af, sem, kw)
+                got, _ = leaves(_Search, af, sem, kw)
+                assert got == want, (af.attacks, sem, kw)
+                calls += ref.calls
+                total += len(want)
+    assert calls > 10000 and total > 1000, (calls, total)
