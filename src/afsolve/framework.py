@@ -127,9 +127,12 @@ class ArgumentationFramework:
 
     def attacked_set(self, s: int) -> int:
         """Arguments attacked by some member of *s* (the set S+)."""
+        targets = self.targets
         out = 0
-        for i in bits(s):
-            out |= self.targets[i]
+        while s:
+            low = s & -s
+            s ^= low
+            out |= targets[low.bit_length() - 1]
         return out
 
     def attackers_of_set(self, s: int) -> int:

@@ -38,11 +38,17 @@ Optional constraints used by the strategy layers:
   * ``in_clauses``: masks of which at least one argument must be in
     (strict-superset and blocking searches for preferred and for ranges).
 
+Naive sets come from a separate search: Bron–Kerbosch on the graph of
+arguments that do not conflict (``_maximal_conflict_free``), whose maximal
+cliques they are.  ``_max_range`` runs it as a branch and bound for the
+naive set of largest range, which stage semantics maximizes.
+
 All search state lives in local ints, so concurrent searches over the same
 framework never interfere.
 """
 
 import sys
+from contextlib import contextmanager
 from enum import Enum
 
 from .framework import ArgumentationFramework, canonical_key, mask_of_indices
@@ -59,6 +65,20 @@ class BaseSemantics(Enum):
 
 class _Stop(Exception):
     pass
+
+
+@contextmanager
+def _recursion_room(limit: int):
+    """Raise the recursion limit to at least *limit* inside the block and
+    restore it afterwards, so a deep clique search leaves no global trace.
+    (``_Search.run`` does the same inline: it runs far more often.)"""
+    old = sys.getrecursionlimit()
+    if old < limit:
+        sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 # (defense, closure) of each base semantics the search enumerates directly;
@@ -445,23 +465,46 @@ def _self_attackers(af: ArgumentationFramework) -> int:
 # -- enumeration -------------------------------------------------------------
 
 
-def _maximal_conflict_free(af: ArgumentationFramework, *, range_maximal: bool = False) -> list:
-    """All naive sets, by maximal-clique search on the non-conflict graph;
-    with *range_maximal*, the (set, range) pairs of those whose range is
-    maximal among naive ranges.
-
-    Self-attackers can never be members, so they are dropped from the universe
-    up front.  The range bound: every naive set below a node (r, p) is r plus
-    a subset of p, so its range lies inside range(r) | p | attacked_set(p).
-    A node whose bound is a strict subset of a range already found holds no
-    set of maximal range and is skipped.  Only found ranges that contain
-    range(r) can cover the bound, so a node hands its children just those.
-    """
+def _compat(af: ArgumentationFramework) -> tuple[int, list[int]]:
+    """The vertices and adjacency rows of the non-conflict graph, whose
+    maximal cliques are the naive sets: every argument but the
+    self-attackers, which can never be members, and for each argument the
+    others it neither attacks nor is attacked by."""
     universe = af.all_mask & ~_self_attackers(af)
     compat = [
         universe & ~(af.attackers[i] | af.targets[i]) & ~(1 << i)
         for i in range(af.n)
     ]
+    return universe, compat
+
+
+def _pivot(p: int, x: int, compat: list[int]) -> int:
+    """The Bron–Kerbosch pivot: the member of p | x compatible with the most
+    candidates in p, the lowest index on ties."""
+    best_u, best_c = -1, -1
+    m = p | x
+    while m:
+        low = m & -m
+        m ^= low
+        c = (p & compat[low.bit_length() - 1]).bit_count()
+        if c > best_c:
+            best_c = c
+            best_u = low.bit_length() - 1
+    return best_u
+
+
+def _maximal_conflict_free(af: ArgumentationFramework, *, range_maximal: bool = False) -> list:
+    """All naive sets, by maximal-clique search on the non-conflict graph;
+    with *range_maximal*, the (set, range) pairs of those whose range is
+    maximal among naive ranges.
+
+    The range bound: every naive set below a node (r, p) is r plus a subset
+    of p, so its range lies inside range(r) | p | attacked_set(p).  A node
+    whose bound is a strict subset of a range already found holds no set of
+    maximal range and is skipped.  Only found ranges that contain range(r)
+    can cover the bound, so a node hands its children just those.
+    """
+    universe, compat = _compat(af)
     out: list = []
     found: list[int] = []  # distinct leaf ranges, none inside an earlier one
 
@@ -477,18 +520,8 @@ def _maximal_conflict_free(af: ArgumentationFramework, *, range_maximal: bool = 
             if range_maximal and rng not in over:
                 found.append(rng)
             return
-        # pivot on the vertex compatible with most candidates
-        best_u, best_c = -1, -1
-        m = p | x
-        while m:
-            low = m & -m
-            m ^= low
-            c = (p & compat[low.bit_length() - 1]).bit_count()
-            if c > best_c:
-                best_c = c
-                best_u = low.bit_length() - 1
         seen = len(found)
-        m = p & ~compat[best_u]
+        m = p & ~compat[_pivot(p, x, compat)]
         while m:
             low = m & -m
             m ^= low
@@ -503,17 +536,107 @@ def _maximal_conflict_free(af: ArgumentationFramework, *, range_maximal: bool = 
             p ^= low
             x |= low
 
-    limit, old_limit = 2 * af.n + 200, sys.getrecursionlimit()
-    if old_limit < limit:
-        sys.setrecursionlimit(limit)
-    try:
+    with _recursion_room(2 * af.n + 200):
         expand(0, universe, 0, 0, [])
-    finally:
-        sys.setrecursionlimit(old_limit)
     if not range_maximal:
         return out
     covered = {k for i, k in enumerate(found) for j in found[i + 1:] if k | j == j}
     return [(r, rng) for r, rng in out if rng not in covered]
+
+
+def _max_range(
+    af: ArgumentationFramework,
+    r: int,
+    p: int,
+    x: int,
+    known: tuple[int, ...] = (),
+    above: int | None = None,
+) -> int | None:
+    """A naive set whose range has the most arguments, among the naive sets
+    that the Bron–Kerbosch call at (r, p, x) lists, whose range lies
+    strictly inside no range in *known* and, if *above* is given, strictly
+    contains *above*; None if there is none.
+
+    (r, p, x) must be a Bron–Kerbosch node of the non-conflict graph
+    (``_compat``): r a clique, and p | x the vertices compatible with every
+    member of r.  The search from such a node reports exactly the maximal
+    cliques C with r ⊆ C ⊆ r | p that avoid x: a clique is reported once p
+    and x are empty, that is once no vertex can extend it, and a vertex in
+    x never joins r.  The maximal cliques are the naive sets.  So the root
+    (0, universe, 0) lists every naive set, ({q}, compat[q], 0) those that
+    hold q, and (0, universe & ~{q}, {q}) those that leave q out.
+
+    Branch and bound, with the bound of ``_maximal_conflict_free``: every
+    naive set below a node has its range inside range(r) | p | attacked(p).
+    A node is skipped when that bound has no more arguments than the best
+    range found so far, lies strictly inside a range in *known*, or does
+    not strictly contain *above*; in each case nothing below it qualifies
+    and beats the best.  attacked(p) is passed down the search; a child
+    that loses few candidates, as in a sparse framework, updates it from
+    the attacks of those alone instead of recomputing it.
+
+    Proof sketch that, from the root, a largest qualifying range R is
+    ⊆-maximal among all naive ranges: a naive range T strictly above R
+    strictly contains *above* as well, and lies strictly inside no known
+    range, since R would then too; so T would qualify and be larger.
+    """
+    _, compat = _compat(af)
+    targets = af.targets
+    attackers = af.attackers
+    attacked = af.attacked_set
+    best = -1
+    best_set = None
+    # an update of attacked(p) visits each lost candidate and, on average,
+    # this many rows; recomputing it visits one row per kept candidate
+    per_loss = 1 + len(af.attacks) / max(af.n, 1)
+
+    def qualifies(bound: int) -> bool:
+        if above is not None and (bound == above or bound | above != bound):
+            return False
+        for k in known:
+            if bound != k and bound | k == k:
+                return False
+        return True
+
+    def expand(r: int, p: int, x: int, rng: int, atk: int) -> None:
+        # the node's bound qualifies and beats the best; atk: what p attacks
+        nonlocal best, best_set
+        if p == 0:
+            if x == 0:
+                best, best_set = rng.bit_count(), r
+            return
+        p0 = p
+        m = p & ~compat[_pivot(p, x, compat)]
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            pc = p & compat[v]
+            gone = p0 & ~pc
+            if gone.bit_count() * per_loss < pc.bit_count():
+                # an argument stays attacked unless its attackers in p0 were all lost
+                sub = atk
+                lost = attacked(gone) & atk
+                while lost:
+                    b = lost & -lost
+                    lost ^= b
+                    if not attackers[b.bit_length() - 1] & pc:
+                        sub ^= b
+            else:
+                sub = attacked(pc)
+            sr = rng | low | targets[v]
+            bound = sr | pc | sub
+            if bound.bit_count() > best and qualifies(bound):
+                expand(r | low, pc, x & compat[v], sr, sub)
+            p ^= low
+            x |= low
+
+    rng = r | attacked(r)
+    atk = attacked(p)
+    if qualifies(rng | p | atk):
+        with _recursion_room(2 * af.n + 200):
+            expand(r, p, x, rng, atk)
+    return best_set
 
 
 def maximize_complete(af: ArgumentationFramework, e: int = 0, **kw) -> int | None:

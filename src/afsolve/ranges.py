@@ -6,8 +6,13 @@ are discovered one at a time: find a base set, grow its range until no base
 set exceeds it, record it, then block every range it covers and repeat.
 "The range escapes R" is an in-clause over complete labellings (see
 ``_escape``), so growing and blocking need no constraint of their own.
-Stage ranges come instead from the stable extensions, if there are any, or
-else from a naive-set search that skips subtrees of covered range.
+Stage works on naive sets, after a stable search: if a stable extension
+exists, the stage extensions are the stable ones.  Otherwise EE-STG and
+CE-STG list them with a naive-set search that skips subtrees of covered
+range (``_stage_pairs``), while SE-STG, DC-STG and DS-STG list none: a
+branch and bound for the largest naive range (``kernel._max_range``) gives
+one stage extension, and a loop of such searches decides a query
+(``_decide_stage``).
 """
 
 from dataclasses import dataclass
@@ -15,7 +20,7 @@ from enum import Enum
 
 from .framework import ArgumentationFramework, canonical_key
 from . import kernel
-from .kernel import _find, _maximal_conflict_free, base_extensions, BaseSemantics
+from .kernel import _compat, _find, _max_range, _maximal_conflict_free, base_extensions, BaseSemantics
 
 
 class RangeSemantics(Enum):
@@ -131,13 +136,21 @@ def _max_ranges_naive(af: ArgumentationFramework) -> list[RangeWitness]:
 
 
 def some_range_extension(af: ArgumentationFramework, sem: RangeSemantics) -> int:
-    """A semi-stable (resp. stage) extension: witness of one maximal range."""
+    """A semi-stable (resp. stage) extension: witness of one maximal range.
+
+    For stage: a stable extension if there is one, else a naive set with
+    the most arguments in its range, which is ⊆-maximal (``_max_range``).
+    """
     if sem is RangeSemantics.SEMI_STABLE:
         leaf = _find(af, BaseSemantics.COMPLETE)
         assert leaf is not None  # the grounded labelling always exists
         witness, _ = _grow_range(af, leaf[0], leaf[0] | leaf[1])
         return witness
-    return _max_ranges_naive(af)[0].witness
+    stable = kernel.find_stable(af)
+    if stable is not None:
+        return stable
+    universe, _ = _compat(af)
+    return _max_range(af, 0, universe, 0)
 
 
 def semi_stable_all(af: ArgumentationFramework) -> list[int]:
@@ -172,6 +185,58 @@ def stage_all(af: ArgumentationFramework) -> list[int]:
     return [s for s, _ in pairs]
 
 
+def _decide_stage(af: ArgumentationFramework, credulous: bool, q: int) -> bool:
+    """Credulous / skeptical stage acceptance of q, without listing every
+    stage extension.
+
+    If a stable extension exists, the stage extensions are the stable ones
+    (see ``_stage_pairs``), and at most two stable searches decide q.
+    Otherwise a loop over naive sets.  A candidate is a naive set on q's
+    side (holding q for credulous, leaving it out for skeptical) with the
+    largest range R that lies strictly inside no range in *known*.  A naive
+    range T strictly above R also lies strictly inside no known range, so a
+    set on q's side could not have it: it would beat R.  So the search for
+    a range above R runs over the other side only, and returns the largest
+    such range W, or None.  With None, R is maximal among naive ranges, so
+    the candidate is a stage extension and decides the query: YES for
+    credulous, NO for skeptical.  Otherwise W is maximal (a range strictly
+    above W would be above R and larger), joins *known*, and the loop
+    repeats.
+
+    Proof sketch of the other answer: every range in *known* is the range
+    of a naive set, and a stage range is maximal among those, so it is
+    never strictly inside a known range.  A stage extension on q's side
+    would therefore qualify, and the candidate search would not return
+    None.  Every round adds a new range to *known*: R lies strictly inside
+    no known range, so W ⊋ R is none of them.  There are finitely many
+    ranges, so the loop ends.
+    """
+    qbit = 1 << q
+    stable = kernel.find_stable(af)
+    if stable is not None:
+        if bool(stable & qbit) == credulous:
+            return credulous
+        if credulous:
+            return kernel.find_stable(af, force_in=qbit) is not None
+        return kernel.find_stable(af, force_out=qbit) is None
+    universe, compat = _compat(af)
+    if not universe & qbit:
+        # a self-attacker is in no conflict-free set, and a stage extension exists
+        return False
+    holding = (qbit, compat[q], 0)
+    leaving = (0, universe & ~qbit, qbit)
+    start, other = (holding, leaving) if credulous else (leaving, holding)
+    known: list[int] = []
+    while True:
+        s = _max_range(af, *start, known=tuple(known))
+        if s is None:
+            return not credulous
+        wider = _max_range(af, *other, known=tuple(known), above=range_of(af, s))
+        if wider is None:
+            return credulous
+        known.append(range_of(af, wider))
+
+
 def decide_range(
     af: ArgumentationFramework,
     sem: RangeSemantics,
@@ -180,25 +245,24 @@ def decide_range(
 ) -> bool:
     """Credulous / skeptical acceptance for semi-stable and stage semantics.
 
-    Stage checks q against every stage extension.  Semi-stable runs a
-    counterexample-guided loop that keeps q in (credulous) or not in
-    (skeptical).  Each round finds a complete labelling that meets that
-    constraint and whose range is not a subset of a blocked range, and grows
-    its range R to be maximal among the labellings that meet it.  If no
-    complete labelling has a range strictly above R, R is maximal among all
-    complete ranges, so the labelling is semi-stable and decides the query:
-    YES for credulous, NO for skeptical.  Otherwise every range that is a
-    subset of R is blocked and the loop repeats.  Proof sketch of the other
-    answer: a semi-stable labelling that meets the constraint has a maximal
-    range, which is no subset of a blocked R (it would equal R, which has a
-    strict superset), so the search would have found it.  Every round blocks
-    a new range, so the loop ends.
+    Both run a counterexample-guided loop that keeps q in (credulous) or not
+    in (skeptical); stage's is ``_decide_stage``, over naive sets.
+    Semi-stable's finds, each round, a complete labelling that meets that
+    constraint and whose range is not a subset of a blocked range, and
+    grows its range R to be maximal among the labellings that meet it.  If
+    no complete labelling has a range strictly above R, R is maximal among
+    all complete ranges, so the labelling is semi-stable and decides the
+    query: YES for credulous, NO for skeptical.  Otherwise every range that
+    is a subset of R is blocked and the loop repeats.  Proof sketch of the
+    other answer: a semi-stable labelling that meets the constraint has a
+    maximal range, which is no subset of a blocked R (it would equal R,
+    which has a strict superset), so the search would have found it.  Every
+    round blocks a new range, so the loop ends.
     """
     credulous = mode is AcceptanceMode.CREDULOUS
-    qbit = 1 << q
     if sem is RangeSemantics.STAGE:
-        members = (s & qbit for s, _ in _stage_pairs(af))
-        return any(members) if credulous else all(members)
+        return _decide_stage(af, credulous, q)
+    qbit = 1 << q
     keep = {"force_in": qbit} if credulous else {"force_notin": qbit}
     blockers: list[int] = []
     while True:

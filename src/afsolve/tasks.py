@@ -3,8 +3,9 @@
 The solve() entry point routes every (task, semantics) pair to the matching
 strategy: direct search for complete and stable, in-first search and
 blocking enumeration for preferred, range growth for semi-stable, the stable
-extensions or else a range-bounded naive-set search for stage, and the
-two-phase fixed point for ideal.
+extensions or else naive-set searches for stage (a range-bounded listing
+for EE and CE, a largest-range search for SE and a loop of them for DC and
+DS), and the two-phase fixed point for ideal.
 
 Acceptance queries avoid whole-extension work.  Skeptical preferred queries
 and ideal queries first shrink the framework to the arguments with a directed
@@ -12,7 +13,8 @@ path to the query.  Skeptical preferred, semi-stable and ideal queries then
 try _shortcut: grounded membership and at most two complete searches.  What
 they leave open goes to a counterexample-guided loop (preferred_without in
 the kernel, decide_range for semi-stable) or, for ideal, to the ideal
-extension.
+extension.  Stage queries go straight to decide_range's loop over naive
+sets.
 """
 
 from dataclasses import dataclass

@@ -263,6 +263,37 @@ def test_stage_pairs_match_the_filtered_naive_enumeration():
     assert bounded >= 50
 
 
+def _assert_stage_queries_match_pairs(af, queries):
+    """SE, DC and DS stage answers against the stage extensions that
+    ``_stage_pairs`` lists."""
+    exts = {s for s, _ in _stage_pairs(af)}
+    assert some_range_extension(af, RangeSemantics.STAGE) in exts
+    for q in queries:
+        dc = decide_range(af, RangeSemantics.STAGE, AcceptanceMode.CREDULOUS, q)
+        ds = decide_range(af, RangeSemantics.STAGE, AcceptanceMode.SKEPTICAL, q)
+        assert dc == any((e >> q) & 1 for e in exts), (af.names, af.attacks, q)
+        assert ds == all((e >> q) & 1 for e in exts), (af.names, af.attacks, q)
+
+
+def _chain_with_loop(n):
+    """A chain a0 -> ... -> a(n-1) plus an isolated self-attacker, so there
+    is no stable extension; the only stage extension is every other link
+    from a0."""
+    names = [f"a{i}" for i in range(n)] + ["loop"]
+    return ArgumentationFramework(names, [(i, i + 1) for i in range(n - 1)] + [(n, n)])
+
+
+def test_stage_queries_match_the_stage_pairs():
+    rng = random.Random(1914)
+    for _ in range(300):
+        af = random_af(rng, rng.randint(10, 40), rng.choice([0.05, 0.1, 0.2]))
+        _assert_stage_queries_match_pairs(af, range(af.n))
+    for n in [1, 2, 3, 4, 5, 10, 21, 40, 81, 160, 320]:
+        af = _chain_with_loop(n)
+        queries = range(n + 1) if n <= 40 else [0, 1, n // 2, n - 2, n - 1, n]
+        _assert_stage_queries_match_pairs(af, queries)
+
+
 def test_stage_on_long_chains_restores_the_recursion_limit():
     before = sys.getrecursionlimit()
     chain = ArgumentationFramework([f"a{i}" for i in range(2000)], [(i, i + 1) for i in range(1999)])
@@ -280,4 +311,11 @@ def test_stage_on_long_chains_restores_the_recursion_limit():
     assert solve(unstable, TaskSpec(Task.EE, Semantics.STG)).extensions == (
         unstable.mask_of(names[0:1000:2]),
     )
+    assert sys.getrecursionlimit() == before
+    unstable = _chain_with_loop(2000)
+    assert solve(unstable, TaskSpec(Task.SE, Semantics.STG)).extension == alternating
+    assert solve(unstable, TaskSpec(Task.DC, Semantics.STG, "a1998")).verdict
+    assert not solve(unstable, TaskSpec(Task.DS, Semantics.STG, "a1")).verdict
+    assert not solve(unstable, TaskSpec(Task.DC, Semantics.STG, "loop")).verdict
+    assert not solve(unstable, TaskSpec(Task.DS, Semantics.STG, "loop")).verdict
     assert sys.getrecursionlimit() == before
