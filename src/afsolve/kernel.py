@@ -48,7 +48,6 @@ framework never interfere.
 """
 
 import sys
-from contextlib import contextmanager
 from enum import Enum
 
 from .framework import ArgumentationFramework, canonical_key, mask_of_indices
@@ -65,20 +64,6 @@ class BaseSemantics(Enum):
 
 class _Stop(Exception):
     pass
-
-
-@contextmanager
-def _recursion_room(limit: int):
-    """Raise the recursion limit to at least *limit* inside the block and
-    restore it afterwards, so a deep clique search leaves no global trace.
-    (``_Search.run`` does the same inline: it runs far more often.)"""
-    old = sys.getrecursionlimit()
-    if old < limit:
-        sys.setrecursionlimit(limit)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 # (defense, closure) of each base semantics the search enumerates directly;
@@ -536,8 +521,13 @@ def _maximal_conflict_free(af: ArgumentationFramework, *, range_maximal: bool = 
             p ^= low
             x |= low
 
-    with _recursion_room(2 * af.n + 200):
+    limit, old_limit = 2 * af.n + 200, sys.getrecursionlimit()
+    if old_limit < limit:
+        sys.setrecursionlimit(limit)
+    try:
         expand(0, universe, 0, 0, [])
+    finally:
+        sys.setrecursionlimit(old_limit)
     if not range_maximal:
         return out
     covered = {k for i, k in enumerate(found) for j in found[i + 1:] if k | j == j}
@@ -546,6 +536,7 @@ def _maximal_conflict_free(af: ArgumentationFramework, *, range_maximal: bool = 
 
 def _max_range(
     af: ArgumentationFramework,
+    compat: list[int],
     r: int,
     p: int,
     x: int,
@@ -557,38 +548,32 @@ def _max_range(
     strictly inside no range in *known* and, if *above* is given, strictly
     contains *above*; None if there is none.
 
-    (r, p, x) must be a Bron–Kerbosch node of the non-conflict graph
-    (``_compat``): r a clique, and p | x the vertices compatible with every
-    member of r.  The search from such a node reports exactly the maximal
-    cliques C with r ⊆ C ⊆ r | p that avoid x: a clique is reported once p
-    and x are empty, that is once no vertex can extend it, and a vertex in
-    x never joins r.  The maximal cliques are the naive sets.  So the root
-    (0, universe, 0) lists every naive set, ({q}, compat[q], 0) those that
-    hold q, and (0, universe & ~{q}, {q}) those that leave q out.
+    (r, p, x) must be a Bron–Kerbosch node of the non-conflict graph whose
+    rows are *compat* (``_compat``): r a clique, and p | x the vertices
+    compatible with every member of r.  The search from such a node reports
+    exactly the maximal cliques C with r ⊆ C ⊆ r | p that avoid x: a clique
+    is reported once p and x are empty, that is once no vertex can extend
+    it, and a vertex in x never joins r.  The maximal cliques are the naive
+    sets.  So the root (0, universe, 0) lists every naive set,
+    ({q}, compat[q], 0) those that hold q, and (0, universe & ~{q}, {q})
+    those that leave q out.
 
     Branch and bound, with the bound of ``_maximal_conflict_free``: every
     naive set below a node has its range inside range(r) | p | attacked(p).
     A node is skipped when that bound has no more arguments than the best
     range found so far, lies strictly inside a range in *known*, or does
     not strictly contain *above*; in each case nothing below it qualifies
-    and beats the best.  attacked(p) is passed down the search; a child
-    that loses few candidates, as in a sparse framework, updates it from
-    the attacks of those alone instead of recomputing it.
+    and beats the best.
 
     Proof sketch that, from the root, a largest qualifying range R is
     ⊆-maximal among all naive ranges: a naive range T strictly above R
     strictly contains *above* as well, and lies strictly inside no known
     range, since R would then too; so T would qualify and be larger.
     """
-    _, compat = _compat(af)
     targets = af.targets
-    attackers = af.attackers
     attacked = af.attacked_set
     best = -1
     best_set = None
-    # an update of attacked(p) visits each lost candidate and, on average,
-    # this many rows; recomputing it visits one row per kept candidate
-    per_loss = 1 + len(af.attacks) / max(af.n, 1)
 
     def qualifies(bound: int) -> bool:
         if above is not None and (bound == above or bound | above != bound):
@@ -598,44 +583,35 @@ def _max_range(
                 return False
         return True
 
-    def expand(r: int, p: int, x: int, rng: int, atk: int) -> None:
-        # the node's bound qualifies and beats the best; atk: what p attacks
+    def expand(r: int, p: int, x: int, rng: int) -> None:
+        # the node's bound qualifies and beats the best
         nonlocal best, best_set
         if p == 0:
             if x == 0:
                 best, best_set = rng.bit_count(), r
             return
-        p0 = p
         m = p & ~compat[_pivot(p, x, compat)]
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
             pc = p & compat[v]
-            gone = p0 & ~pc
-            if gone.bit_count() * per_loss < pc.bit_count():
-                # an argument stays attacked unless its attackers in p0 were all lost
-                sub = atk
-                lost = attacked(gone) & atk
-                while lost:
-                    b = lost & -lost
-                    lost ^= b
-                    if not attackers[b.bit_length() - 1] & pc:
-                        sub ^= b
-            else:
-                sub = attacked(pc)
             sr = rng | low | targets[v]
-            bound = sr | pc | sub
+            bound = sr | pc | attacked(pc)
             if bound.bit_count() > best and qualifies(bound):
-                expand(r | low, pc, x & compat[v], sr, sub)
+                expand(r | low, pc, x & compat[v], sr)
             p ^= low
             x |= low
 
     rng = r | attacked(r)
-    atk = attacked(p)
-    if qualifies(rng | p | atk):
-        with _recursion_room(2 * af.n + 200):
-            expand(r, p, x, rng, atk)
+    if qualifies(rng | p | attacked(p)):
+        limit, old_limit = 2 * af.n + 200, sys.getrecursionlimit()
+        if old_limit < limit:
+            sys.setrecursionlimit(limit)
+        try:
+            expand(r, p, x, rng)
+        finally:
+            sys.setrecursionlimit(old_limit)
     return best_set
 
 

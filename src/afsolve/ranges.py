@@ -149,8 +149,8 @@ def some_range_extension(af: ArgumentationFramework, sem: RangeSemantics) -> int
     stable = kernel.find_stable(af)
     if stable is not None:
         return stable
-    universe, _ = _compat(af)
-    return _max_range(af, 0, universe, 0)
+    universe, compat = _compat(af)
+    return _max_range(af, compat, 0, universe, 0)
 
 
 def semi_stable_all(af: ArgumentationFramework) -> list[int]:
@@ -228,10 +228,10 @@ def _decide_stage(af: ArgumentationFramework, credulous: bool, q: int) -> bool:
     start, other = (holding, leaving) if credulous else (leaving, holding)
     known: list[int] = []
     while True:
-        s = _max_range(af, *start, known=tuple(known))
+        s = _max_range(af, compat, *start, known=tuple(known))
         if s is None:
             return not credulous
-        wider = _max_range(af, *other, known=tuple(known), above=range_of(af, s))
+        wider = _max_range(af, compat, *other, known=tuple(known), above=range_of(af, s))
         if wider is None:
             return credulous
         known.append(range_of(af, wider))
