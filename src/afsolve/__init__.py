@@ -33,7 +33,6 @@ from .kernel import (
     some_preferred,
 )
 from .ranges import (
-    AcceptanceMode,
     RangeSemantics,
     RangeWitness,
     decide_range,
@@ -82,7 +81,6 @@ __all__ = [
     "maximize_complete",
     "preferred_extensions",
     "some_preferred",
-    "AcceptanceMode",
     "RangeSemantics",
     "RangeWitness",
     "decide_range",

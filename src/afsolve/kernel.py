@@ -43,11 +43,13 @@ arguments that do not conflict (``_maximal_conflict_free``), whose maximal
 cliques they are.  ``_max_range`` runs it as a branch and bound for the
 naive set of largest range, which stage semantics maximizes.
 
-All search state lives in local ints, so concurrent searches over the same
-framework never interfere.
+Every search is a loop over an explicit stack of pending nodes, not a
+recursion, so its depth costs memory but no interpreter frames: a search
+never sets the recursion limit or any other state of the interpreter.  All
+search state lives in local ints and lists, so concurrent searches, in one
+thread or several, over the same framework or not, never interfere.
 """
 
-import sys
 from enum import Enum
 
 from .framework import ArgumentationFramework, canonical_key, mask_of_indices
@@ -60,10 +62,6 @@ class BaseSemantics(Enum):
     STABLE = "stable"
     NAIVE = "naive"
     PREFERRED = "preferred"
-
-
-class _Stop(Exception):
-    pass
 
 
 # (defense, closure) of each base semantics the search enumerates directly;
@@ -254,68 +252,83 @@ class _Search:
                 best = i
         return best
 
-    def _search(self, state, on_leaf):
-        IN, OUT, NI, ATK, icls = state
-        free = ~(IN | OUT | NI) & self.all
-        UNJ = OUT & ~ATK
-        if UNJ:
-            # defend the unjustified out-argument with the fewest candidate
-            # attackers (fail-first); among its candidates prefer the one that
-            # opens the fewest new obligations, trying in before not-in
-            attackers = self.attackers
-            best_a = -1
-            best_k = self.n + 1
-            m = UNJ
-            while m:
-                low = m & -m
-                m ^= low
-                k = (attackers[low.bit_length() - 1] & free).bit_count()
-                if k < best_k:
-                    best_k = k
-                    best_a = low.bit_length() - 1
-            cand = attackers[best_a] & free
-            best_v = -1
-            best_c = self.n + 1
-            m = cand
-            while m:
-                low = m & -m
-                m ^= low
-                i = low.bit_length() - 1
-                c = (attackers[i] & ~OUT).bit_count()
-                if c < best_c:
-                    best_c = c
-                    best_v = i
-            bit = 1 << best_v
-            child = self._propagate(state, f_in=bit)
-            if child is not None:
-                self._search(child, on_leaf)
-            child = self._propagate(state, f_ni=bit)
-            if child is not None:
-                self._search(child, on_leaf)
-            return
-        if self.find_first and not icls and free & self.notundec == 0:
-            # no pending obligation: everything still free can end undec
-            if on_leaf(IN, OUT, NI | free) is False:
-                raise _Stop
-            return
-        pool = free & self.notundec
-        if not pool and icls:
-            m = 0
-            for c in icls:
-                m |= c
-            pool = free & m
-        if not pool:
-            pool = free
-        if not pool:
-            # leaf: surviving not-in arguments must be undec
-            if on_leaf(IN, OUT, NI) is False:
-                raise _Stop
-            return
-        bit = 1 << self._pick(pool)
-        for f_in, f_ni in ((0, bit), (bit, 0)) if self.find_first else ((bit, 0), (0, bit)):
-            child = self._propagate(state, f_in=f_in, f_ni=f_ni)
-            if child is not None:
-                self._search(child, on_leaf)
+    def _search(self, state, on_leaf) -> None:
+        """Depth first from the propagated *state* until the leaves run out
+        or on_leaf returns False.  The stack holds the pending children as
+        (parent state, f_in, f_ni), the one to try first on top; a child is
+        propagated only when it is popped."""
+        attackers = self.attackers
+        allm = self.all
+        n = self.n
+        notundec = self.notundec
+        find_first = self.find_first
+        propagate = self._propagate
+        stack = []
+        push = stack.append
+        pop = stack.pop
+        while True:
+            IN, OUT, NI, ATK, icls = state
+            free = ~(IN | OUT | NI) & allm
+            UNJ = OUT & ~ATK
+            if UNJ:
+                # defend the unjustified out-argument with the fewest candidate
+                # attackers (fail-first); among its candidates prefer the one that
+                # opens the fewest new obligations, trying in before not-in
+                best_a = -1
+                best_k = n + 1
+                m = UNJ
+                while m:
+                    low = m & -m
+                    m ^= low
+                    k = (attackers[low.bit_length() - 1] & free).bit_count()
+                    if k < best_k:
+                        best_k = k
+                        best_a = low.bit_length() - 1
+                best_v = -1
+                best_c = n + 1
+                m = attackers[best_a] & free
+                while m:
+                    low = m & -m
+                    m ^= low
+                    i = low.bit_length() - 1
+                    c = (attackers[i] & ~OUT).bit_count()
+                    if c < best_c:
+                        best_c = c
+                        best_v = i
+                bit = 1 << best_v
+                push((state, 0, bit))
+                push((state, bit, 0))
+            elif find_first and not icls and free & notundec == 0:
+                # no pending obligation: everything still free can end undec
+                if on_leaf(IN, OUT, NI | free) is False:
+                    return
+            else:
+                pool = free & notundec
+                if not pool and icls:
+                    m = 0
+                    for c in icls:
+                        m |= c
+                    pool = free & m
+                if not pool:
+                    pool = free
+                if not pool:
+                    # leaf: surviving not-in arguments must be undec
+                    if on_leaf(IN, OUT, NI) is False:
+                        return
+                else:
+                    bit = 1 << self._pick(pool)
+                    if find_first:
+                        push((state, bit, 0))
+                        push((state, 0, bit))
+                    else:
+                        push((state, 0, bit))
+                        push((state, bit, 0))
+            state = None
+            while state is None:
+                if not stack:
+                    return
+                parent, f_in, f_ni = pop()
+                state = propagate(parent, f_in=f_in, f_ni=f_ni)
 
     def run(self, on_leaf) -> None:
         state = self._propagate(
@@ -326,17 +339,8 @@ class _Search:
             f_ni=self.force_notin | _self_attackers(self.af),
             recheck_g=self.all if self.closure else 0,
         )
-        if state is None:
-            return
-        limit, old_limit = 4 * self.n + 200, sys.getrecursionlimit()
-        if old_limit < limit:
-            sys.setrecursionlimit(limit)
-        try:
+        if state is not None:
             self._search(state, on_leaf)
-        except _Stop:
-            pass
-        finally:
-            sys.setrecursionlimit(old_limit)
 
 
 def _find(af: ArgumentationFramework, sem: BaseSemantics, *, find_first: bool = True, **kw):
@@ -478,6 +482,14 @@ def _pivot(p: int, x: int, compat: list[int]) -> int:
     return best_u
 
 
+def _strictly_inside(bound: int, ranges) -> bool:
+    """True iff *bound* is a strict subset of some range in *ranges*."""
+    for k in ranges:
+        if bound != k and bound | k == k:
+            return True
+    return False
+
+
 def _maximal_conflict_free(af: ArgumentationFramework, *, range_maximal: bool = False) -> list:
     """All naive sets, by maximal-clique search on the non-conflict graph;
     with *range_maximal*, the (set, range) pairs of those whose range is
@@ -488,46 +500,40 @@ def _maximal_conflict_free(af: ArgumentationFramework, *, range_maximal: bool = 
     whose bound is a strict subset of a range already found holds no set of
     maximal range and is skipped.  Only found ranges that contain range(r)
     can cover the bound, so a node hands its children just those.
+
+    The search is depth first over a stack of nodes, the children of a node
+    pushed last first.  A child's candidates p and excluded x are those the
+    recursive Bron–Kerbosch call would give it: its earlier siblings m move
+    from p to x.  A child takes the ranges found below those siblings when
+    it is popped, after they are done.
     """
     universe, compat = _compat(af)
+    targets = af.targets
+    attacked = af.attacked_set
     out: list = []
     found: list[int] = []  # distinct leaf ranges, none inside an earlier one
-
-    def expand(r: int, p: int, x: int, rng: int, over: list[int]) -> None:
-        # over: the found ranges that contain rng
-        if over:
-            bound = rng | p | af.attacked_set(p)
-            for k in over:
-                if bound != k and bound | k == k:
-                    return
+    # (r, p, x, range(r), the found ranges over the parent's range, len(found) then)
+    stack = [(0, universe, 0, 0, [], 0)]
+    while stack:
+        r, p, x, rng, over, seen = stack.pop()
+        if range_maximal:
+            # ranges found below earlier siblings contain the parent's range as well
+            over = [k for k in over + found[seen:] if k | rng == k]
+            if over and _strictly_inside(rng | p | attacked(p), over):
+                continue
         if p == 0 and x == 0:
             out.append((r, rng) if range_maximal else r)
             if range_maximal and rng not in over:
                 found.append(rng)
-            return
+            continue
         seen = len(found)
         m = p & ~compat[_pivot(p, x, compat)]
         while m:
-            low = m & -m
+            v = m.bit_length() - 1
+            low = 1 << v
             m ^= low
-            v = low.bit_length() - 1
             cv = compat[v]
-            if range_maximal:
-                # ranges found below earlier children contain rng as well
-                sub = rng | low | af.targets[v]
-                expand(r | low, p & cv, x & cv, sub, [k for k in over + found[seen:] if k | sub == k])
-            else:
-                expand(r | low, p & cv, x & cv, 0, over)
-            p ^= low
-            x |= low
-
-    limit, old_limit = 2 * af.n + 200, sys.getrecursionlimit()
-    if old_limit < limit:
-        sys.setrecursionlimit(limit)
-    try:
-        expand(0, universe, 0, 0, [])
-    finally:
-        sys.setrecursionlimit(old_limit)
+            stack.append((r | low, p & ~m & cv, (x | m) & cv, rng | low | targets[v], over, seen))
     if not range_maximal:
         return out
     covered = {k for i, k in enumerate(found) for j in found[i + 1:] if k | j == j}
@@ -563,7 +569,9 @@ def _max_range(
     A node is skipped when that bound has no more arguments than the best
     range found so far, lies strictly inside a range in *known*, or does
     not strictly contain *above*; in each case nothing below it qualifies
-    and beats the best.
+    and beats the best.  The search runs over a stack in the order of
+    ``_maximal_conflict_free``, and bounds a node when it is popped, against
+    the best found by then.
 
     Proof sketch that, from the root, a largest qualifying range R is
     ⊆-maximal among all naive ranges: a naive range T strictly above R
@@ -574,44 +582,27 @@ def _max_range(
     attacked = af.attacked_set
     best = -1
     best_set = None
-
-    def qualifies(bound: int) -> bool:
+    stack = [(r, p, x, r | attacked(r))]
+    while stack:
+        r, p, x, rng = stack.pop()
+        bound = rng | p | attacked(p)
+        if bound.bit_count() <= best:
+            continue
         if above is not None and (bound == above or bound | above != bound):
-            return False
-        for k in known:
-            if bound != k and bound | k == k:
-                return False
-        return True
-
-    def expand(r: int, p: int, x: int, rng: int) -> None:
-        # the node's bound qualifies and beats the best
-        nonlocal best, best_set
+            continue
+        if _strictly_inside(bound, known):
+            continue
         if p == 0:
             if x == 0:
                 best, best_set = rng.bit_count(), r
-            return
+            continue
         m = p & ~compat[_pivot(p, x, compat)]
         while m:
-            low = m & -m
+            v = m.bit_length() - 1
+            low = 1 << v
             m ^= low
-            v = low.bit_length() - 1
-            pc = p & compat[v]
-            sr = rng | low | targets[v]
-            bound = sr | pc | attacked(pc)
-            if bound.bit_count() > best and qualifies(bound):
-                expand(r | low, pc, x & compat[v], sr)
-            p ^= low
-            x |= low
-
-    rng = r | attacked(r)
-    if qualifies(rng | p | attacked(p)):
-        limit, old_limit = 2 * af.n + 200, sys.getrecursionlimit()
-        if old_limit < limit:
-            sys.setrecursionlimit(limit)
-        try:
-            expand(r, p, x, rng)
-        finally:
-            sys.setrecursionlimit(old_limit)
+            cv = compat[v]
+            stack.append((r | low, p & ~m & cv, (x | m) & cv, rng | low | targets[v]))
     return best_set
 
 

@@ -28,11 +28,6 @@ class RangeSemantics(Enum):
     STAGE = "stage"
 
 
-class AcceptanceMode(Enum):
-    CREDULOUS = "credulous"
-    SKEPTICAL = "skeptical"
-
-
 @dataclass(frozen=True)
 class RangeWitness:
     """One subset-maximal range plus a single base set achieving it."""
@@ -240,10 +235,11 @@ def _decide_stage(af: ArgumentationFramework, credulous: bool, q: int) -> bool:
 def decide_range(
     af: ArgumentationFramework,
     sem: RangeSemantics,
-    mode: AcceptanceMode,
+    credulous: bool,
     q: int,
 ) -> bool:
-    """Credulous / skeptical acceptance for semi-stable and stage semantics.
+    """Credulous (*credulous* true) or skeptical acceptance of argument *q*
+    for semi-stable and stage semantics.
 
     Both run a counterexample-guided loop that keeps q in (credulous) or not
     in (skeptical); stage's is ``_decide_stage``, over naive sets.
@@ -259,7 +255,6 @@ def decide_range(
     which has a strict superset), so the search would have found it.  Every
     round blocks a new range, so the loop ends.
     """
-    credulous = mode is AcceptanceMode.CREDULOUS
     if sem is RangeSemantics.STAGE:
         return _decide_stage(af, credulous, q)
     qbit = 1 << q

@@ -24,7 +24,7 @@ from .framework import ArgumentationFramework
 from . import kernel
 from .kernel import BaseSemantics
 from . import ranges
-from .ranges import AcceptanceMode, RangeSemantics
+from .ranges import RangeSemantics
 from .ideal import ideal_extension
 
 
@@ -184,7 +184,7 @@ def _credulous(af: ArgumentationFramework, sem: Semantics, q: int) -> bool:
     if sem is Semantics.ST:
         return kernel.find_stable(af, force_in=1 << q) is not None
     if sem in _RANGE:
-        return ranges.decide_range(af, _RANGE[sem], AcceptanceMode.CREDULOUS, q)
+        return ranges.decide_range(af, _RANGE[sem], credulous=True, q=q)
     return bool((ideal_extension(af) >> q) & 1)
 
 
@@ -198,7 +198,7 @@ def _skeptical(af: ArgumentationFramework, sem: Semantics, q: int) -> bool:
         # a stable extension omitting q must label it out; none means YES,
         # including the vacuous case of no stable extension at all
         return kernel.find_stable(af, force_out=1 << q) is None
-    return ranges.decide_range(af, _RANGE[sem], AcceptanceMode.SKEPTICAL, q)
+    return ranges.decide_range(af, _RANGE[sem], credulous=False, q=q)
 
 
 def solve(af: ArgumentationFramework, spec: TaskSpec, *, reduce_queries: bool = True) -> SolveResult:

@@ -1,5 +1,8 @@
 import itertools
 import random
+import sys
+
+import pytest
 
 from afsolve import ArgumentationFramework
 
@@ -11,6 +14,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+@pytest.fixture
+def fixed_recursion_limit(monkeypatch):
+    """Make sys.setrecursionlimit raise, for tests of code that must run
+    within the default limit and never set it."""
+
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit})")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
 
 
 def build(names, attacks):

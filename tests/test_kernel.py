@@ -1,6 +1,9 @@
+import os
 import random
+import subprocess
 import sys
 
+import afsolve
 from afsolve import (
     ArgumentationFramework,
     BaseSemantics,
@@ -22,7 +25,7 @@ from afsolve import (
     some_preferred,
 )
 from afsolve.framework import bits
-from afsolve.kernel import _SEARCHED, _Search, _self_attackers, _Stop
+from afsolve.kernel import _SEARCHED, _Search, _self_attackers
 from conftest import all_three_arg_frameworks, build, random_af
 
 _ORACLE_CODE = {
@@ -331,7 +334,14 @@ def test_preferred_matches_improvement_loop():
             assert e & ~grown == 0 and is_extension(af, grown, BaseSemantics.PREFERRED), (af.attacks, e)
 
 
-def test_searches_restore_the_recursion_limit():
+def _two_cycles(k):
+    """k disjoint 2-cycles a(2i) <-> a(2i+1): a search decides one cycle
+    per level, so its depth grows with k."""
+    return ArgumentationFramework([f"a{i}" for i in range(2 * k)], [(i, i ^ 1) for i in range(2 * k)])
+
+
+def test_searches_restore_the_recursion_limit(fixed_recursion_limit):
+    """Deep searches run within the default recursion limit and never set it."""
     before = sys.getrecursionlimit()
     chain = ArgumentationFramework([f"a{i}" for i in range(2000)], [(i, i + 1) for i in range(1999)])
     assert solve(chain, TaskSpec.from_problem("SE-PR")).extension == chain.mask_of(chain.names[::2])
@@ -339,6 +349,68 @@ def test_searches_restore_the_recursion_limit():
     free = ArgumentationFramework([f"a{i}" for i in range(500)], [])
     assert base_extensions(free, BaseSemantics.NAIVE) == [free.all_mask]
     assert sys.getrecursionlimit() == before
+    # root propagation settles a chain; 2000 independent cycles take 2000 decisions
+    cycles = _two_cycles(2000)
+    assert solve(cycles, TaskSpec.from_problem("SE-PR")).extension == cycles.mask_of(cycles.names[::2])
+    assert solve(cycles, TaskSpec.from_problem("SE-ST")).extension == cycles.mask_of(cycles.names[1::2])
+    assert sys.getrecursionlimit() == before
+
+
+_THREADS = """
+import sys, threading
+from afsolve import ArgumentationFramework, BaseSemantics
+from afsolve.kernel import _Search
+
+def two_cycles(k):
+    return ArgumentationFramework([f"a{i}" for i in range(2 * k)], [(i, i ^ 1) for i in range(2 * k)])
+
+WAIT = 60
+a_waits, a_go, a_done = threading.Event(), threading.Event(), threading.Event()
+b_leaves = []
+
+def run_a():
+    def leaf(i, o, u):
+        a_waits.set()
+        a_go.wait(WAIT)
+        return False
+    _Search(two_cycles(150), BaseSemantics.COMPLETE).run(leaf)
+    a_done.set()
+
+def run_b():
+    a_waits.wait(WAIT)
+    def leaf(i, o, u):
+        if not b_leaves:
+            a_go.set()
+            a_done.wait(WAIT)
+        b_leaves.append(i)
+        return len(b_leaves) <= 50
+    _Search(two_cycles(1500), BaseSemantics.COMPLETE).run(leaf)
+
+threads = [threading.Thread(target=run_a, daemon=True), threading.Thread(target=run_b, daemon=True)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(WAIT)
+ok = a_done.is_set() and len(set(b_leaves)) == 51 and not any(t.is_alive() for t in threads)
+print(len(b_leaves), a_done.is_set())
+sys.exit(0 if ok else 1)
+"""
+
+
+def test_concurrent_searches_do_not_interfere():
+    """Thread A searches 150 disjoint 2-cycles and waits at its first leaf;
+    thread B searches 1500 and, at its first leaf, 1500 decisions deep, lets
+    A finish, then goes on for 50 leaves.  A search that changed
+    interpreter-wide state on its way out, such as the recursion limit,
+    would break B.  Run in a child process, since such a fault can abort
+    the interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(afsolve.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, (proc.stdout, proc.stderr[-2000:])
 
 
 _IN, _OUT, _UD, _NI = 0, 1, 2, 3
@@ -524,12 +596,8 @@ class _QueueSearch(_Search):
         for i in bits(self.force_notin | _self_attackers(self.af)):
             queue.append((_NI, 1 << i))
         state = self._checked((0, 0, 0, 0, self.in_clauses), queue, self.all if self.closure else 0)
-        if state is None:
-            return
-        try:
+        if state is not None:
             self._search(state, on_leaf)
-        except _Stop:
-            pass
 
 
 def test_mask_propagation_matches_the_tuple_queue():

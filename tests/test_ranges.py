@@ -2,7 +2,6 @@ import random
 import sys
 
 from afsolve import (
-    AcceptanceMode,
     ArgumentationFramework,
     BaseSemantics,
     RangeSemantics,
@@ -110,10 +109,10 @@ def test_stage_examples():
 def test_decide_range_examples():
     cyc = build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
     a = cyc.index_of("a")
-    assert decide_range(cyc, RangeSemantics.STAGE, AcceptanceMode.CREDULOUS, a)
-    assert not decide_range(cyc, RangeSemantics.STAGE, AcceptanceMode.SKEPTICAL, a)
+    assert decide_range(cyc, RangeSemantics.STAGE, credulous=True, q=a)
+    assert not decide_range(cyc, RangeSemantics.STAGE, credulous=False, q=a)
     ab = build(["a", "b"], [("a", "b")])
-    assert decide_range(ab, RangeSemantics.SEMI_STABLE, AcceptanceMode.SKEPTICAL, ab.index_of("a"))
+    assert decide_range(ab, RangeSemantics.SEMI_STABLE, credulous=False, q=ab.index_of("a"))
 
 
 def test_matches_oracle_exhaustive():
@@ -149,8 +148,8 @@ def test_decide_range_matches_quantifiers():
         for sem, code in ((RangeSemantics.SEMI_STABLE, "SST"), (RangeSemantics.STAGE, "STG")):
             exts = oracle_extensions(af, code)
             for q in range(af.n):
-                cred = decide_range(af, sem, AcceptanceMode.CREDULOUS, q)
-                skep = decide_range(af, sem, AcceptanceMode.SKEPTICAL, q)
+                cred = decide_range(af, sem, credulous=True, q=q)
+                skep = decide_range(af, sem, credulous=False, q=q)
                 assert cred == any((e >> q) & 1 for e in exts)
                 assert skep == all((e >> q) & 1 for e in exts)
 
@@ -269,8 +268,8 @@ def _assert_stage_queries_match_pairs(af, queries):
     exts = {s for s, _ in _stage_pairs(af)}
     assert some_range_extension(af, RangeSemantics.STAGE) in exts
     for q in queries:
-        dc = decide_range(af, RangeSemantics.STAGE, AcceptanceMode.CREDULOUS, q)
-        ds = decide_range(af, RangeSemantics.STAGE, AcceptanceMode.SKEPTICAL, q)
+        dc = decide_range(af, RangeSemantics.STAGE, credulous=True, q=q)
+        ds = decide_range(af, RangeSemantics.STAGE, credulous=False, q=q)
         assert dc == any((e >> q) & 1 for e in exts), (af.names, af.attacks, q)
         assert ds == all((e >> q) & 1 for e in exts), (af.names, af.attacks, q)
 
@@ -294,7 +293,9 @@ def test_stage_queries_match_the_stage_pairs():
         _assert_stage_queries_match_pairs(af, queries)
 
 
-def test_stage_on_long_chains_restores_the_recursion_limit():
+def test_stage_on_long_chains_restores_the_recursion_limit(fixed_recursion_limit):
+    """Stage on 2000-argument chains runs within the default recursion limit
+    and never sets it."""
     before = sys.getrecursionlimit()
     chain = ArgumentationFramework([f"a{i}" for i in range(2000)], [(i, i + 1) for i in range(1999)])
     alternating = chain.mask_of(chain.names[::2])
