@@ -20,14 +20,10 @@ from .framework import (
 from .kernel import (
     BaseSemantics,
     base_extensions,
-    characteristic,
     count_base,
-    defends,
     find_complete,
     find_stable,
     grounded,
-    is_conflict_free,
-    is_extension,
     maximize_complete,
     preferred_extensions,
     some_preferred,
@@ -70,14 +66,10 @@ __all__ = [
     "parse_apx",
     "BaseSemantics",
     "base_extensions",
-    "characteristic",
     "count_base",
-    "defends",
     "find_complete",
     "find_stable",
     "grounded",
-    "is_conflict_free",
-    "is_extension",
     "maximize_complete",
     "preferred_extensions",
     "some_preferred",

@@ -10,8 +10,8 @@ backend (diagnostic use only, small frameworks).
 import argparse
 import sys
 
-from .framework import ApxError, ArgumentationFramework, canonical_key, parse_apx
-from .oracle import TooLargeError, oracle_extensions
+from .framework import ApxError, ArgumentationFramework, parse_apx
+from .oracle import TooLargeError
 from .tasks import (
     PROBLEMS,
     SolveResult,
@@ -19,8 +19,8 @@ from .tasks import (
     TaskSpec,
     UnknownArgumentError,
     UnsupportedTaskError,
-    _resolve_query,
     solve,
+    solve_by_oracle,
 )
 
 FORMATS = ("apx",)
@@ -65,23 +65,6 @@ def format_output(result: SolveResult, af: ArgumentationFramework) -> str:
     return "[" + ",".join(format_extension(af, e) for e in result.extensions) + "]"
 
 
-def _solve_with_oracle(af: ArgumentationFramework, spec: TaskSpec) -> SolveResult:
-    exts = sorted(
-        oracle_extensions(af, spec.semantics.value),
-        key=lambda m: canonical_key(m, af.n),
-    )
-    if spec.task is Task.SE:
-        return SolveResult(spec.task, extension=exts[0] if exts else None)
-    if spec.task is Task.EE:
-        return SolveResult(spec.task, extensions=tuple(exts))
-    if spec.task is Task.CE:
-        return SolveResult(spec.task, count=len(exts))
-    q = _resolve_query(af, spec.query)
-    if spec.task is Task.DC:
-        return SolveResult(spec.task, verdict=any((e >> q) & 1 for e in exts))
-    return SolveResult(spec.task, verdict=all((e >> q) & 1 for e in exts))
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -109,10 +92,7 @@ def main(argv=None) -> int:
         except UnicodeDecodeError:
             raise _CliError(f"cannot read {args.f}: not UTF-8 text") from None
         af = parse_apx(text)
-        if args.oracle:
-            result = _solve_with_oracle(af, spec)
-        else:
-            result = solve(af, spec)
+        result = solve_by_oracle(af, spec) if args.oracle else solve(af, spec)
         print(format_output(result, af))
         return 0
     except (_CliError, ApxError, UnknownArgumentError, UnsupportedTaskError, TooLargeError) as exc:

@@ -1,15 +1,15 @@
 """Backtracking search over three-valued labellings, and the base semantics.
 
-The engine labels arguments in or out, or marks them "not-in" when they are
-known to end up out or undec.  It branches on one argument at a time (in vs
-not-in) and propagates the labelling constraints to a fixpoint between
-branches:
+The engine searches complete labellings.  It labels arguments in or out, or
+marks them "not-in" when they are known to end up out or undec.  It branches
+on one argument at a time (in vs not-in) and propagates the labelling
+constraints to a fixpoint between branches:
 
   * an attacker labelled in forces its targets out;
   * an argument labelled in forces its attackers out (defense);
   * an argument labelled out must eventually have an attacker labelled in
     (unit-forced when a single candidate remains, conflict when none);
-  * in complete mode an argument whose attackers are all out is forced in;
+  * an argument whose attackers are all out is forced in;
   * a not-in argument that may not end undec is forced out.
 
 Propagation acts on masks: each step applies a whole batch of pending labels,
@@ -17,11 +17,9 @@ so new in-arguments force the union of their rows out at once, and a conflict
 is a non-empty intersection (``_Search._propagate``).
 
 When no free argument remains, every surviving not-in argument can only be
-undec, so leaves resolve deterministically; each complete labelling (or
-canonical labelling of an admissible / conflict-free set) is visited exactly
-once.  Stable semantics is the complete engine with undec forbidden globally.
-The search is chosen by a ``BaseSemantics``: conflict-free, admissible,
-complete or stable; naive and preferred are built on top of it.
+undec, so leaves resolve deterministically; each complete labelling is
+visited exactly once.  Stable semantics is the same search with undec
+forbidden everywhere (``notundec``).
 
 Branching is obligation-driven: while some out-labelled argument still lacks
 an in-labelled attacker, the search branches on one of its candidate
@@ -56,35 +54,21 @@ from .framework import ArgumentationFramework, canonical_key, mask_of_indices
 
 
 class BaseSemantics(Enum):
-    CONFLICT_FREE = "conflict-free"
-    ADMISSIBLE = "admissible"
     COMPLETE = "complete"
     STABLE = "stable"
     NAIVE = "naive"
     PREFERRED = "preferred"
 
 
-# (defense, closure) of each base semantics the search enumerates directly;
-# stable is complete with undec forbidden
-_SEARCHED = {
-    BaseSemantics.CONFLICT_FREE: (False, False),
-    BaseSemantics.ADMISSIBLE: (True, False),
-    BaseSemantics.COMPLETE: (True, True),
-    BaseSemantics.STABLE: (True, True),
-}
-
-
 class _Search:
-    """One configured search; run() drives the callback over the leaves.
-
-    sem is one of the keys of _SEARCHED.  The callback receives
-    (in_mask, out_mask, undec_mask) per leaf and may return False to stop.
+    """One configured search for complete labellings; run() drives the
+    callback over the leaves.  The callback receives (in_mask, out_mask,
+    undec_mask) per leaf and may return False to stop.
     """
 
     def __init__(
         self,
         af: ArgumentationFramework,
-        sem: BaseSemantics,
         *,
         force_in: int = 0,
         force_out: int = 0,
@@ -98,9 +82,6 @@ class _Search:
         self.all = af.all_mask
         self.attackers = af.attackers
         self.targets = af.targets
-        self.defense, self.closure = _SEARCHED[sem]
-        if sem is BaseSemantics.STABLE:
-            notundec = af.all_mask
         self.notundec = notundec & af.all_mask
         self.force_in = force_in
         self.force_out = force_out
@@ -149,8 +130,6 @@ class _Search:
         allm = self.all
         attackers = self.attackers
         targets = self.targets
-        closure = self.closure
-        defense = self.defense
         notundec = self.notundec
         recheck_out = 0
         while True:
@@ -166,8 +145,7 @@ class _Search:
                     new ^= low
                     i = low.bit_length() - 1
                     hit |= targets[i]
-                    if defense:
-                        f_out |= attackers[i]
+                    f_out |= attackers[i]
                 ATK |= hit
                 f_out |= hit
             if f_out:
@@ -184,8 +162,7 @@ class _Search:
                     new ^= low
                     hit |= targets[low.bit_length() - 1]
                 recheck_out |= hit
-                if closure:
-                    recheck_g |= hit
+                recheck_g |= hit
             if f_ni:
                 if f_ni & IN:
                     return None
@@ -335,61 +312,35 @@ class _Search:
             (0, 0, 0, 0, self.in_clauses),
             f_in=self.force_in,
             f_out=self.force_out,
-            # self-attackers can never be labelled in, in any mode
+            # self-attackers can never be labelled in
             f_ni=self.force_notin | _self_attackers(self.af),
-            recheck_g=self.all if self.closure else 0,
+            recheck_g=self.all,
         )
         if state is not None:
             self._search(state, on_leaf)
 
 
-def _find(af: ArgumentationFramework, sem: BaseSemantics, *, find_first: bool = True, **kw):
-    """First leaf of the configured search, or None."""
+def find_complete(af: ArgumentationFramework, *, find_first: bool = True, **kw):
+    """Some complete labelling satisfying the constraints, or None: the
+    first leaf of the configured search."""
     box = []
 
     def grab(in_m, out_m, ud_m):
         box.append((in_m, out_m, ud_m))
         return False
 
-    _Search(af, sem, find_first=find_first, **kw).run(grab)
+    _Search(af, find_first=find_first, **kw).run(grab)
     return box[0] if box else None
-
-
-def find_complete(af: ArgumentationFramework, **kw):
-    """Some complete labelling satisfying the constraints, or None."""
-    return _find(af, BaseSemantics.COMPLETE, **kw)
 
 
 def find_stable(af: ArgumentationFramework, *, force_in: int = 0, force_out: int = 0):
     """Some stable extension (as a mask) satisfying the constraints, or None."""
-    leaf = _find(af, BaseSemantics.STABLE, force_in=force_in, force_out=force_out)
+    leaf = find_complete(af, force_in=force_in, force_out=force_out, notundec=af.all_mask)
     return leaf[0] if leaf is not None else None
 
 
 def complete_labellings_into(af: ArgumentationFramework, on_leaf, **kw) -> None:
-    _Search(af, BaseSemantics.COMPLETE, **kw).run(on_leaf)
-
-
-# -- definitional checkers ---------------------------------------------------
-
-
-def is_conflict_free(af: ArgumentationFramework, s: int) -> bool:
-    return af.attacked_set(s) & s == 0
-
-
-def defends(af: ArgumentationFramework, s: int, a: int) -> bool:
-    """True iff every attacker of *a* is attacked by *s*."""
-    return af.attackers[a] & ~af.attacked_set(s) == 0
-
-
-def characteristic(af: ArgumentationFramework, s: int) -> int:
-    """The set of arguments defended by *s*."""
-    s_plus = af.attacked_set(s)
-    out = 0
-    for a in range(af.n):
-        if af.attackers[a] & ~s_plus == 0:
-            out |= 1 << a
-    return out
+    _Search(af, **kw).run(on_leaf)
 
 
 def grounded(af: ArgumentationFramework) -> int:
@@ -420,27 +371,6 @@ def grounded(af: ArgumentationFramework) -> int:
                     if live[c] == 0:
                         todo.append(c)
     return mask_of_indices(members)
-
-
-def is_extension(af: ArgumentationFramework, s: int, sem: BaseSemantics) -> bool:
-    if sem is BaseSemantics.CONFLICT_FREE:
-        return is_conflict_free(af, s)
-    if sem is BaseSemantics.ADMISSIBLE:
-        return is_conflict_free(af, s) and s & ~characteristic(af, s) == 0
-    if sem is BaseSemantics.COMPLETE:
-        return is_conflict_free(af, s) and characteristic(af, s) == s
-    if sem is BaseSemantics.STABLE:
-        return is_conflict_free(af, s) and (s | af.attacked_set(s)) == af.all_mask
-    if sem is BaseSemantics.NAIVE:
-        if not is_conflict_free(af, s):
-            return False
-        blocked = s | af.attacked_set(s) | af.attackers_of_set(s) | _self_attackers(af)
-        return blocked == af.all_mask
-    if sem is BaseSemantics.PREFERRED:
-        if not (is_conflict_free(af, s) and characteristic(af, s) == s):
-            return False
-        return _find(af, BaseSemantics.COMPLETE, force_in=s, in_clauses=(~s & af.all_mask,)) is None
-    raise ValueError(f"unknown semantics {sem!r}")
 
 
 def _self_attackers(af: ArgumentationFramework) -> int:
@@ -620,7 +550,7 @@ def maximize_complete(af: ArgumentationFramework, e: int = 0, **kw) -> int | Non
     put some b of M' to not-in.  The in branch for b holds M' and was searched
     first, so it would have given a leaf before M.
     """
-    leaf = _find(af, BaseSemantics.COMPLETE, find_first=False, force_in=e, **kw)
+    leaf = find_complete(af, find_first=False, force_in=e, **kw)
     return leaf[0] if leaf is not None else None
 
 
@@ -664,7 +594,7 @@ def preferred_without(af: ArgumentationFramework, q: int) -> int | None:
         e = maximize_complete(af, force_notin=qbit, in_clauses=tuple(blockers))
         if e is None:
             return None
-        if _find(af, BaseSemantics.COMPLETE, force_in=e | qbit) is None:
+        if find_complete(af, force_in=e | qbit) is None:
             return e
         blockers.append(~e & af.all_mask)
 
@@ -678,8 +608,10 @@ def preferred_extensions(af: ArgumentationFramework) -> list[int]:
 def base_extensions(af: ArgumentationFramework, sem: BaseSemantics) -> list[int]:
     """All extensions of *sem*, in canonical order."""
     found: list[int] = []
-    if sem in _SEARCHED:
-        _Search(af, sem).run(lambda i, o, u: found.append(i))
+    if sem is BaseSemantics.COMPLETE or sem is BaseSemantics.STABLE:
+        # stable is complete with undec forbidden everywhere
+        notundec = af.all_mask if sem is BaseSemantics.STABLE else 0
+        _Search(af, notundec=notundec).run(lambda i, o, u: found.append(i))
     elif sem is BaseSemantics.NAIVE:
         found = _maximal_conflict_free(af)
     elif sem is BaseSemantics.PREFERRED:
@@ -691,9 +623,9 @@ def base_extensions(af: ArgumentationFramework, sem: BaseSemantics) -> list[int]
 
 
 def count_base(af: ArgumentationFramework, sem: BaseSemantics) -> int:
-    """Number of extensions of *sem*; counts leaves without storing them for
-    the directly-enumerable semantics."""
-    if sem not in _SEARCHED:
+    """Number of extensions of *sem*; counts the leaves of the complete and
+    stable searches without storing them."""
+    if sem is not BaseSemantics.COMPLETE and sem is not BaseSemantics.STABLE:
         return len(base_extensions(af, sem))
     count = 0
 
@@ -701,5 +633,5 @@ def count_base(af: ArgumentationFramework, sem: BaseSemantics) -> int:
         nonlocal count
         count += 1
 
-    _Search(af, sem).run(bump)
+    _Search(af, notundec=af.all_mask if sem is BaseSemantics.STABLE else 0).run(bump)
     return count

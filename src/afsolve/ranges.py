@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .framework import ArgumentationFramework, canonical_key
+# the searches are looked up on the module at call time, so a wrapper
+# installed on kernel.find_complete (perfbench's tracer) sees them
 from . import kernel
-from .kernel import _compat, _find, _max_range, _maximal_conflict_free, base_extensions, BaseSemantics
+from .kernel import _compat, _max_range, _maximal_conflict_free, base_extensions, BaseSemantics
 
 
 class RangeSemantics(Enum):
@@ -55,7 +57,7 @@ def _wider(af: ArgumentationFramework, rng: int, **kw):
     escape = _escape(af, rng)
     if not escape:
         return None
-    return _find(af, BaseSemantics.COMPLETE, notundec=rng, in_clauses=(escape,), **kw)
+    return kernel.find_complete(af, notundec=rng, in_clauses=(escape,), **kw)
 
 
 def _grow_range(af: ArgumentationFramework, witness: int, rng: int, **kw):
@@ -78,21 +80,27 @@ def max_ranges(af: ArgumentationFramework, sem: RangeSemantics) -> list[RangeWit
 
     The complete base discovers ranges one at a time: find a complete
     labelling whose range escapes everything recorded, maximize it, block it,
-    repeat.  For the naive base that refutation search degenerates (conflict
-    free sets propagate almost nothing), so the stage ranges come from
-    ``_stage_pairs`` instead.
+    repeat.  Over conflict-free sets such a refutation search would
+    propagate almost nothing, so the stage ranges come from ``_stage_pairs``
+    instead, each with its canonically least witness.
     """
-    if sem is RangeSemantics.STAGE:
-        return _max_ranges_naive(af)
     found: list[RangeWitness] = []
-    blockers: list[int] = []
-    while True:
-        leaf = _find(af, BaseSemantics.COMPLETE, in_clauses=tuple(blockers))
-        if leaf is None:
-            break
-        witness, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1])
-        found.append(RangeWitness(rng, witness))
-        blockers.append(_escape(af, rng))
+    if sem is RangeSemantics.STAGE:
+        witness_for: dict[int, int] = {}
+        for s, r in _stage_pairs(af):
+            prev = witness_for.get(r)
+            if prev is None or canonical_key(s, af.n) < canonical_key(prev, af.n):
+                witness_for[r] = s
+        found = [RangeWitness(r, s) for r, s in witness_for.items()]
+    else:
+        blockers: list[int] = []
+        while True:
+            leaf = kernel.find_complete(af, in_clauses=tuple(blockers))
+            if leaf is None:
+                break
+            witness, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1])
+            found.append(RangeWitness(rng, witness))
+            blockers.append(_escape(af, rng))
     found.sort(key=lambda rw: canonical_key(rw.range_mask, af.n))
     return found
 
@@ -118,18 +126,6 @@ def _stage_pairs(af: ArgumentationFramework) -> list[tuple[int, int]]:
     return _maximal_conflict_free(af, range_maximal=True)
 
 
-def _max_ranges_naive(af: ArgumentationFramework) -> list[RangeWitness]:
-    """The maximal stage ranges, each with its canonically least witness."""
-    witness_for: dict[int, int] = {}
-    for s, r in _stage_pairs(af):
-        prev = witness_for.get(r)
-        if prev is None or canonical_key(s, af.n) < canonical_key(prev, af.n):
-            witness_for[r] = s
-    found = [RangeWitness(r, s) for r, s in witness_for.items()]
-    found.sort(key=lambda rw: canonical_key(rw.range_mask, af.n))
-    return found
-
-
 def some_range_extension(af: ArgumentationFramework, sem: RangeSemantics) -> int:
     """A semi-stable (resp. stage) extension: witness of one maximal range.
 
@@ -137,7 +133,7 @@ def some_range_extension(af: ArgumentationFramework, sem: RangeSemantics) -> int
     the most arguments in its range, which is ⊆-maximal (``_max_range``).
     """
     if sem is RangeSemantics.SEMI_STABLE:
-        leaf = _find(af, BaseSemantics.COMPLETE)
+        leaf = kernel.find_complete(af)
         assert leaf is not None  # the grounded labelling always exists
         witness, _ = _grow_range(af, leaf[0], leaf[0] | leaf[1])
         return witness
@@ -159,8 +155,6 @@ def semi_stable_all(af: ArgumentationFramework) -> list[int]:
     if stable:
         return stable
     pairs: list[tuple[int, int]] = []
-    # looked up on the module at call time, so a wrapper installed on
-    # kernel.complete_labellings_into (perfbench's tracer) sees this call
     kernel.complete_labellings_into(af, lambda i, o, u: pairs.append((u, i)))
     undec_sets = {u for u, _ in pairs}
     result = [
@@ -261,7 +255,7 @@ def decide_range(
     keep = {"force_in": qbit} if credulous else {"force_notin": qbit}
     blockers: list[int] = []
     while True:
-        leaf = _find(af, BaseSemantics.COMPLETE, in_clauses=tuple(blockers), **keep)
+        leaf = kernel.find_complete(af, in_clauses=tuple(blockers), **keep)
         if leaf is None:
             return not credulous
         _, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1], **keep)

@@ -15,17 +15,21 @@ they leave open goes to a counterexample-guided loop (preferred_without in
 the kernel, decide_range for semi-stable) or, for ideal, to the ideal
 extension.  Stage queries go straight to decide_range's loop over naive
 sets.
+
+solve_by_oracle() answers the same tasks from the brute-force oracle's list
+of every extension, for cross-checks on small frameworks.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
-from .framework import ArgumentationFramework
+from .framework import ArgumentationFramework, canonical_key
 from . import kernel
 from .kernel import BaseSemantics
 from . import ranges
 from .ranges import RangeSemantics
 from .ideal import ideal_extension
+from .oracle import oracle_extensions
 
 
 class Task(Enum):
@@ -222,3 +226,19 @@ def solve(af: ArgumentationFramework, spec: TaskSpec, *, reduce_queries: bool = 
         decide = _credulous if task is Task.DC or sem is Semantics.ID else _skeptical
         verdict = decide(af, sem, q)
     return SolveResult(task, verdict=verdict)
+
+
+def solve_by_oracle(af: ArgumentationFramework, spec: TaskSpec) -> SolveResult:
+    """Solve one task from every extension the oracle lists: SE gives the
+    canonically least one.  Raises TooLargeError above the oracle's size."""
+    exts = sorted(oracle_extensions(af, spec.semantics.value), key=lambda m: canonical_key(m, af.n))
+    task = spec.task
+    if task is Task.SE:
+        return SolveResult(task, extension=exts[0] if exts else None)
+    if task is Task.EE:
+        return SolveResult(task, extensions=tuple(exts))
+    if task is Task.CE:
+        return SolveResult(task, count=len(exts))
+    q = _resolve_query(af, spec.query)
+    held = [(e >> q) & 1 for e in exts]
+    return SolveResult(task, verdict=any(held) if task is Task.DC else all(held))

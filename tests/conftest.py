@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from afsolve import ArgumentationFramework
+from afsolve import ArgumentationFramework, find_complete
+from afsolve.kernel import _self_attackers
 
 ACCEPTANCE_LINES = []
 
@@ -47,3 +48,48 @@ def all_three_arg_frameworks():
 
 def names_set(af, masks):
     return {tuple(af.names_of(m)) for m in masks}
+
+
+# -- definitional checkers, keyed by the oracle's semantics codes -------------
+
+
+def is_conflict_free(af: ArgumentationFramework, s: int) -> bool:
+    return af.attacked_set(s) & s == 0
+
+
+def defends(af: ArgumentationFramework, s: int, a: int) -> bool:
+    """True iff every attacker of *a* is attacked by *s*."""
+    return af.attackers[a] & ~af.attacked_set(s) == 0
+
+
+def characteristic(af: ArgumentationFramework, s: int) -> int:
+    """The set of arguments defended by *s*."""
+    s_plus = af.attacked_set(s)
+    out = 0
+    for a in range(af.n):
+        if af.attackers[a] & ~s_plus == 0:
+            out |= 1 << a
+    return out
+
+
+def is_extension(af: ArgumentationFramework, s: int, code: str) -> bool:
+    """True iff *s* is an extension of the semantics the oracle calls *code*
+    (CF, ADM, CO, ST, NAIVE or PR)."""
+    if code == "CF":
+        return is_conflict_free(af, s)
+    if code == "ADM":
+        return is_conflict_free(af, s) and s & ~characteristic(af, s) == 0
+    if code == "CO":
+        return is_conflict_free(af, s) and characteristic(af, s) == s
+    if code == "ST":
+        return is_conflict_free(af, s) and (s | af.attacked_set(s)) == af.all_mask
+    if code == "NAIVE":
+        if not is_conflict_free(af, s):
+            return False
+        blocked = s | af.attacked_set(s) | af.attackers_of_set(s) | _self_attackers(af)
+        return blocked == af.all_mask
+    if code == "PR":
+        if not (is_conflict_free(af, s) and characteristic(af, s) == s):
+            return False
+        return find_complete(af, force_in=s, in_clauses=(~s & af.all_mask,)) is None
+    raise ValueError(f"unknown semantics code {code!r}")

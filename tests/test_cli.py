@@ -1,10 +1,13 @@
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 
-from afsolve import SolveResult, Task, parse_apx
+from afsolve import PROBLEMS, SolveResult, Task, parse_apx
 from afsolve.cli import format_output, main
+from conftest import random_af
 
 FIG = "arg(a). arg(b). att(a,b).\n"
 
@@ -89,6 +92,42 @@ def test_count_output(fig_file, capsys):
 def test_oracle_backend(fig_file, capsys):
     code, out, _ = run_cli(["--oracle", "-p", "EE-SST", "-f", fig_file, "-fo", "apx"], capsys)
     assert (code, out) == (0, "[[a]]\n")
+
+
+def extension_set(line):
+    """The extensions of an EE output line, as a set of bracketed names."""
+    return set(re.findall(r"\[[^\[\]]*\]", line.strip()[1:-1]))
+
+
+def test_oracle_backend_agrees_with_the_search(tmp_path, capsys):
+    """Every problem through main() with and without --oracle, on seeded
+    frameworks of at most 8 arguments: the same DC, DS and CE answers, the
+    same EE extensions, and an SE answer among the oracle's extensions."""
+    rng = random.Random(2121)
+    for k in range(12):
+        af = random_af(rng, rng.randint(1, 8), rng.choice([0.15, 0.3, 0.5]))
+        path = tmp_path / f"af{k}.apx"
+        path.write_text(af.to_apx())
+        query = af.names[rng.randrange(af.n)]
+        for problem in PROBLEMS:
+            argv = ["-p", problem, "-f", str(path), "-fo", "apx"]
+            if problem.startswith(("DC", "DS")):
+                argv += ["-a", query]
+            code, got, _ = run_cli(argv, capsys)
+            oracle_code, want, _ = run_cli(["--oracle"] + argv, capsys)
+            where = (problem, query, af.attacks)
+            assert code == oracle_code == 0, where
+            if problem.startswith("EE"):
+                assert extension_set(got) == extension_set(want), where
+            elif problem.startswith("SE"):
+                argv[1] = "EE" + problem[2:]
+                _, every, _ = run_cli(["--oracle"] + argv, capsys)
+                if extension_set(every):
+                    assert got.strip() in extension_set(every), where
+                else:
+                    assert got == want == "NO\n", where
+            else:
+                assert got == want, where
 
 
 @pytest.mark.parametrize(

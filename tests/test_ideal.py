@@ -9,11 +9,10 @@ from afsolve import (
     find_complete,
     grounded,
     ideal_extension,
-    is_extension,
     oracle_extensions,
     solve,
 )
-from conftest import all_three_arg_frameworks, build, random_af
+from conftest import all_three_arg_frameworks, build, is_extension, random_af
 
 
 def shrink_to_defended(af, x):
@@ -109,7 +108,7 @@ def test_ideal_properties():
     for _ in range(120):
         af = random_af(rng, rng.randint(1, 7), rng.choice([0.15, 0.4]))
         ideal = ideal_extension(af)
-        assert is_extension(af, ideal, BaseSemantics.ADMISSIBLE)
+        assert is_extension(af, ideal, "ADM")
         assert grounded(af) & ~ideal == 0
         for p in base_extensions(af, BaseSemantics.PREFERRED):
             assert ideal & ~p == 0

@@ -21,6 +21,10 @@ from conftest import build, random_af
 def test_every_exported_name_exists():
     for name in afsolve.__all__:
         assert hasattr(afsolve, name), name
+    # a stale __all__ entry fails the star import, not the package import
+    namespace = {}
+    exec("from afsolve import *", namespace)
+    assert set(afsolve.__all__) <= set(namespace)
 
 
 def test_problem_matrix_is_complete():
