@@ -4,6 +4,7 @@ Run with:  python3 demos/01_quickstart.py
 """
 
 import afsolve as afs
+from afsolve.kernel import grounded
 
 TEXT = """
 % five arguments; a and b attack each other, both attack c,
@@ -22,19 +23,18 @@ print()
 # extension sets are plain ints used as bitmasks; names_of renders them
 show = lambda mask: "{" + ",".join(af.names_of(mask)) + "}"
 
-print("grounded: ", show(afs.grounded(af)))
-for sem in afs.BaseSemantics:
-    exts = afs.base_extensions(af, sem)
-    print(f"{sem.value:>14}: {[show(e) for e in exts]}")
+print("grounded:", show(grounded(af)))
 print()
 
-print("semi-stable:", [show(e) for e in afs.semi_stable_all(af)])
-print("stage:      ", [show(e) for e in afs.stage_all(af)])
-print("ideal:      ", show(afs.ideal_extension(af)))
+# every semantics through the task layer: EE lists its extensions
+for sem in afs.Semantics:
+    exts = afs.solve(af, afs.TaskSpec(afs.Task.EE, sem)).extensions
+    label = f"EE-{sem.value}:"
+    print(f"{label:<8}{[show(e) for e in exts]}")
 print()
 
-# the task layer wraps all of this behind (task, semantics) pairs
-for problem in ("SE-PR", "EE-ST", "CE-CO", "DC-SST", "DS-ID"):
+# the other tasks ask for one extension, a count or a verdict
+for problem in ("SE-PR", "CE-CO", "DC-SST", "DS-ID"):
     query = "d" if problem.startswith(("DC", "DS")) else None
     spec = afs.TaskSpec.from_problem(problem, query)
     result = afs.solve(af, spec)

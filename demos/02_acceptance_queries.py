@@ -13,6 +13,7 @@ Run with:  python3 demos/02_acceptance_queries.py
 import random
 
 import afsolve as afs
+from afsolve.tasks import reduce_to_query
 
 rng = random.Random(3)
 n = 24
@@ -25,7 +26,7 @@ query = "x0"
 q = af.index_of(query)
 print(f"arguments that reach {query}: {af.reverse_reachable(q).bit_count()} of {af.n}")
 
-reduced, rq = afs.reduce_to_query(af, q)
+reduced, rq = reduce_to_query(af, q)
 print(f"reduced framework: {reduced.n} arguments")
 print()
 

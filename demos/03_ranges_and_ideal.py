@@ -11,7 +11,10 @@ Run with:  python3 demos/03_ranges_and_ideal.py
 """
 
 import afsolve as afs
-from afsolve import RangeSemantics, oracle_extensions
+from afsolve import oracle_extensions
+from afsolve.ideal import credulous_profile, ideal_extension
+from afsolve.kernel import maximize_complete
+from afsolve.ranges import max_ranges, range_of, semi_stable_all, stage_all
 
 # a three-cycle plus a self-attacker hanging off it: no stable extension
 af = afs.parse_apx(
@@ -20,28 +23,33 @@ af = afs.parse_apx(
 )
 show = lambda mask: "{" + ",".join(af.names_of(mask)) + "}"
 
-print("stable extensions:", afs.base_extensions(af, afs.BaseSemantics.STABLE))
+print("stable extensions:", list(afs.solve(af, afs.TaskSpec.from_problem("EE-ST")).extensions))
 print()
 
 # stage maximizes the ranges of conflict-free sets, semi-stable those of
-# complete extensions
-for sem in (RangeSemantics.STAGE, RangeSemantics.SEMI_STABLE):
-    print(f"maximal {sem.value} ranges:")
-    for rw in afs.max_ranges(af, sem):
-        print(f"  range {show(rw.range_mask)} witnessed by {show(rw.witness)}")
+# complete extensions; stage_all orders by range, then canonically, so the
+# first member of each range's group is its canonically least witness
+stage = stage_all(af)
+by_range = {}
+for e in stage:
+    by_range.setdefault(range_of(af, e), []).append(e)
+print("maximal stage ranges:")
+for r, group in by_range.items():
+    print(f"  range {show(r)} witnessed by {show(group[0])}")
+print("maximal semi-stable ranges:")
+for rw in max_ranges(af):
+    print(f"  range {show(rw.range_mask)} witnessed by {show(rw.witness)}")
 print()
 
 print("stage extensions, grouped by range:")
-stage = afs.stage_all(af)
-for rw in afs.max_ranges(af, RangeSemantics.STAGE):
-    group = [show(e) for e in stage if afs.range_of(af, e) == rw.range_mask]
-    print(f"  range {show(rw.range_mask)}: {group}")
+for r, group in by_range.items():
+    print(f"  range {show(r)}: {[show(e) for e in group]}")
 assert set(stage) == oracle_extensions(af, "STG")
 print("stage_all matches the brute-force reference")
 print()
 
-print("semi-stable:", [show(e) for e in afs.semi_stable_all(af)])
-assert set(afs.semi_stable_all(af)) == oracle_extensions(af, "SST")
+print("semi-stable:", [show(e) for e in semi_stable_all(af)])
+assert set(semi_stable_all(af)) == oracle_extensions(af, "SST")
 print()
 
 # the ideal extension from one preferred extension P: a and b attack each
@@ -50,11 +58,11 @@ af = afs.parse_apx(
     "arg(a). arg(b). arg(c). arg(d). arg(g). arg(h)."
     "att(a,b). att(b,a). att(a,c). att(b,c). att(c,d). att(g,h)."
 )
-p = afs.some_preferred(af)
-attacked = afs.credulous_profile(af, p)
+p = maximize_complete(af)
+attacked = credulous_profile(af, p)
 print("a preferred extension:", show(p))
 print("attacked credulously: ", show(attacked))
 print("fixed-point seed:     ", show(p & ~attacked))
-print("ideal extension:      ", show(afs.ideal_extension(af)))
-assert {afs.ideal_extension(af)} == oracle_extensions(af, "ID")
+print("ideal extension:      ", show(ideal_extension(af)))
+assert {ideal_extension(af)} == oracle_extensions(af, "ID")
 print("ideal matches the brute-force reference")

@@ -3,7 +3,9 @@
 Parses the apx format, models the attack graph over bitmask argument sets,
 and solves the some/enumerate/count extension tasks and credulous/skeptical
 acceptance for complete, preferred, stable, semi-stable, stage and ideal
-semantics with an in-process labelling search.
+semantics with an in-process labelling search.  The names below are the
+documented surface; the strategy layers are reached through solve() and
+live in their modules (kernel, ranges, ideal).
 """
 
 from .framework import (
@@ -12,33 +14,8 @@ from .framework import (
     ArgumentationFramework,
     EmptyNameError,
     UndeclaredArgumentError,
-    bits,
-    canonical_key,
-    mask_of_indices,
     parse_apx,
 )
-from .kernel import (
-    BaseSemantics,
-    base_extensions,
-    count_base,
-    find_complete,
-    find_stable,
-    grounded,
-    maximize_complete,
-    preferred_extensions,
-    some_preferred,
-)
-from .ranges import (
-    RangeSemantics,
-    RangeWitness,
-    decide_range,
-    max_ranges,
-    range_of,
-    semi_stable_all,
-    some_range_extension,
-    stage_all,
-)
-from .ideal import credulous_profile, ideal_extension
 from .oracle import TooLargeError, oracle_extensions
 from .tasks import (
     PROBLEMS,
@@ -48,8 +25,8 @@ from .tasks import (
     TaskSpec,
     UnknownArgumentError,
     UnsupportedTaskError,
-    reduce_to_query,
     solve,
+    solve_by_oracle,
 )
 
 __version__ = "0.1.0"
@@ -60,31 +37,7 @@ __all__ = [
     "ArgumentationFramework",
     "EmptyNameError",
     "UndeclaredArgumentError",
-    "bits",
-    "canonical_key",
-    "mask_of_indices",
     "parse_apx",
-    "BaseSemantics",
-    "base_extensions",
-    "count_base",
-    "find_complete",
-    "find_stable",
-    "grounded",
-    "maximize_complete",
-    "preferred_extensions",
-    "some_preferred",
-    "RangeSemantics",
-    "RangeWitness",
-    "decide_range",
-    "max_ranges",
-    "range_of",
-    "semi_stable_all",
-    "some_range_extension",
-    "stage_all",
-    "credulous_profile",
-    "ideal_extension",
-    "TooLargeError",
-    "oracle_extensions",
     "PROBLEMS",
     "Semantics",
     "SolveResult",
@@ -92,6 +45,8 @@ __all__ = [
     "TaskSpec",
     "UnknownArgumentError",
     "UnsupportedTaskError",
-    "reduce_to_query",
     "solve",
+    "solve_by_oracle",
+    "TooLargeError",
+    "oracle_extensions",
 ]

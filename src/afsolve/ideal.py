@@ -34,8 +34,8 @@ def credulous_profile(af: ArgumentationFramework, p: int) -> int:
 
 def ideal_extension(af: ArgumentationFramework) -> int:
     """The unique ideal extension; the shrinking loop ends within n rounds."""
-    # kernel.some_preferred (perfbench's tracer) sees this call
-    p = kernel.some_preferred(af)
+    # looked up on the module, so perfbench's tracer sees this call
+    p = kernel.maximize_complete(af)
     x = p & ~credulous_profile(af, p)
     while True:
         x_plus = af.attacked_set(x)

@@ -1,4 +1,5 @@
-"""Backtracking search over three-valued labellings, and the base semantics.
+"""Backtracking search over three-valued labellings, and the extensions it
+lists: complete, stable and preferred.
 
 The engine searches complete labellings.  It labels arguments in or out, or
 marks them "not-in" when they are known to end up out or undec.  It branches
@@ -37,9 +38,10 @@ Optional constraints used by the strategy layers:
     (strict-superset and blocking searches for preferred and for ranges).
 
 Naive sets come from a separate search: Bron–Kerbosch on the graph of
-arguments that do not conflict (``_maximal_conflict_free``), whose maximal
-cliques they are.  ``_max_range`` runs it as a branch and bound for the
-naive set of largest range, which stage semantics maximizes.
+arguments that do not conflict, whose maximal cliques they are.  Stage
+semantics uses it twice: ``_maximal_conflict_free`` lists the naive sets of
+maximal range, and ``_max_range`` is a branch and bound for the naive set of
+largest range.
 
 Every search is a loop over an explicit stack of pending nodes, not a
 recursion, so its depth costs memory but no interpreter frames: a search
@@ -48,16 +50,7 @@ search state lives in local ints and lists, so concurrent searches, in one
 thread or several, over the same framework or not, never interfere.
 """
 
-from enum import Enum
-
 from .framework import ArgumentationFramework, canonical_key, mask_of_indices
-
-
-class BaseSemantics(Enum):
-    COMPLETE = "complete"
-    STABLE = "stable"
-    NAIVE = "naive"
-    PREFERRED = "preferred"
 
 
 class _Search:
@@ -420,10 +413,9 @@ def _strictly_inside(bound: int, ranges) -> bool:
     return False
 
 
-def _maximal_conflict_free(af: ArgumentationFramework, *, range_maximal: bool = False) -> list:
-    """All naive sets, by maximal-clique search on the non-conflict graph;
-    with *range_maximal*, the (set, range) pairs of those whose range is
-    maximal among naive ranges.
+def _maximal_conflict_free(af: ArgumentationFramework) -> list[tuple[int, int]]:
+    """The (set, range) pairs of the naive sets whose range is maximal among
+    naive ranges, by maximal-clique search on the non-conflict graph.
 
     The range bound: every naive set below a node (r, p) is r plus a subset
     of p, so its range lies inside range(r) | p | attacked_set(p).  A node
@@ -440,20 +432,19 @@ def _maximal_conflict_free(af: ArgumentationFramework, *, range_maximal: bool = 
     universe, compat = _compat(af)
     targets = af.targets
     attacked = af.attacked_set
-    out: list = []
+    out: list[tuple[int, int]] = []
     found: list[int] = []  # distinct leaf ranges, none inside an earlier one
     # (r, p, x, range(r), the found ranges over the parent's range, len(found) then)
     stack = [(0, universe, 0, 0, [], 0)]
     while stack:
         r, p, x, rng, over, seen = stack.pop()
-        if range_maximal:
-            # ranges found below earlier siblings contain the parent's range as well
-            over = [k for k in over + found[seen:] if k | rng == k]
-            if over and _strictly_inside(rng | p | attacked(p), over):
-                continue
+        # ranges found below earlier siblings contain the parent's range as well
+        over = [k for k in over + found[seen:] if k | rng == k]
+        if over and _strictly_inside(rng | p | attacked(p), over):
+            continue
         if p == 0 and x == 0:
-            out.append((r, rng) if range_maximal else r)
-            if range_maximal and rng not in over:
+            out.append((r, rng))
+            if rng not in over:
                 found.append(rng)
             continue
         seen = len(found)
@@ -464,8 +455,6 @@ def _maximal_conflict_free(af: ArgumentationFramework, *, range_maximal: bool = 
             m ^= low
             cv = compat[v]
             stack.append((r | low, p & ~m & cv, (x | m) & cv, rng | low | targets[v], over, seen))
-    if not range_maximal:
-        return out
     covered = {k for i, k in enumerate(found) for j in found[i + 1:] if k | j == j}
     return [(r, rng) for r, rng in out if rng not in covered]
 
@@ -554,10 +543,6 @@ def maximize_complete(af: ArgumentationFramework, e: int = 0, **kw) -> int | Non
     return leaf[0] if leaf is not None else None
 
 
-def some_preferred(af: ArgumentationFramework) -> int:
-    return maximize_complete(af)
-
-
 def preferred_into(af: ArgumentationFramework, on_extension) -> None:
     """Visit every preferred extension once, in discovery order.
 
@@ -600,38 +585,30 @@ def preferred_without(af: ArgumentationFramework, q: int) -> int | None:
 
 
 def preferred_extensions(af: ArgumentationFramework) -> list[int]:
+    """All preferred extensions, in canonical order."""
     out: list[int] = []
     preferred_into(af, out.append)
+    out.sort(key=lambda m: canonical_key(m, af.n))
     return out
 
 
-def base_extensions(af: ArgumentationFramework, sem: BaseSemantics) -> list[int]:
-    """All extensions of *sem*, in canonical order."""
+def complete_extensions(af: ArgumentationFramework, **kw) -> list[int]:
+    """All complete extensions that meet the constraints *kw*, in canonical
+    order: the stable ones with notundec=af.all_mask."""
     found: list[int] = []
-    if sem is BaseSemantics.COMPLETE or sem is BaseSemantics.STABLE:
-        # stable is complete with undec forbidden everywhere
-        notundec = af.all_mask if sem is BaseSemantics.STABLE else 0
-        _Search(af, notundec=notundec).run(lambda i, o, u: found.append(i))
-    elif sem is BaseSemantics.NAIVE:
-        found = _maximal_conflict_free(af)
-    elif sem is BaseSemantics.PREFERRED:
-        found = preferred_extensions(af)
-    else:
-        raise ValueError(f"unknown semantics {sem!r}")
+    _Search(af, **kw).run(lambda i, o, u: found.append(i))
     found.sort(key=lambda m: canonical_key(m, af.n))
     return found
 
 
-def count_base(af: ArgumentationFramework, sem: BaseSemantics) -> int:
-    """Number of extensions of *sem*; counts the leaves of the complete and
-    stable searches without storing them."""
-    if sem is not BaseSemantics.COMPLETE and sem is not BaseSemantics.STABLE:
-        return len(base_extensions(af, sem))
+def count_complete(af: ArgumentationFramework, **kw) -> int:
+    """Number of complete extensions that meet the constraints *kw*: the
+    leaves of the search, counted without storing them."""
     count = 0
 
     def bump(i, o, u):
         nonlocal count
         count += 1
 
-    _Search(af, notundec=af.all_mask if sem is BaseSemantics.STABLE else 0).run(bump)
+    _Search(af, **kw).run(bump)
     return count

@@ -11,28 +11,27 @@ exists, the stage extensions are the stable ones.  Otherwise EE-STG and
 CE-STG list them with a naive-set search that skips subtrees of covered
 range (``_stage_pairs``), while SE-STG, DC-STG and DS-STG list none: a
 branch and bound for the largest naive range (``kernel._max_range``) gives
-one stage extension, and a loop of such searches decides a query
-(``_decide_stage``).
+one stage extension (``some_stage``), and a loop of such searches decides a
+query (``decide_stage``).
+
+Each semantics has its own entry points, one per question the task layer
+asks: semi-stable ``some_semi_stable``, ``semi_stable_all`` and
+``decide_range``; stage ``some_stage``, ``stage_all`` and ``decide_stage``.
+``max_ranges`` lists the maximal semi-stable ranges, one witness each.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .framework import ArgumentationFramework, canonical_key
 # the searches are looked up on the module at call time, so a wrapper
 # installed on kernel.find_complete (perfbench's tracer) sees them
 from . import kernel
-from .kernel import _compat, _max_range, _maximal_conflict_free, base_extensions, BaseSemantics
-
-
-class RangeSemantics(Enum):
-    SEMI_STABLE = "semi-stable"
-    STAGE = "stage"
+from .kernel import _compat, _max_range, _maximal_conflict_free
 
 
 @dataclass(frozen=True)
 class RangeWitness:
-    """One subset-maximal range plus a single base set achieving it."""
+    """One subset-maximal range plus a single complete extension achieving it."""
 
     range_mask: int
     witness: int
@@ -71,36 +70,24 @@ def _grow_range(af: ArgumentationFramework, witness: int, rng: int, **kw):
         rng = leaf[0] | leaf[1]
 
 
-def max_ranges(af: ArgumentationFramework, sem: RangeSemantics) -> list[RangeWitness]:
-    """One witness per subset-maximal range achievable by a base set: a
-    complete extension for semi-stable, a conflict-free set for stage.
+def max_ranges(af: ArgumentationFramework) -> list[RangeWitness]:
+    """One complete-extension witness per subset-maximal range of a complete
+    labelling, in canonical range order: the semi-stable ranges.
 
     Witnesses of distinct entries achieve incomparable ranges; every
-    achievable range is covered by some entry.
-
-    The complete base discovers ranges one at a time: find a complete
-    labelling whose range escapes everything recorded, maximize it, block it,
-    repeat.  Over conflict-free sets such a refutation search would
-    propagate almost nothing, so the stage ranges come from ``_stage_pairs``
-    instead, each with its canonically least witness.
+    achievable range is covered by some entry.  The ranges are discovered
+    one at a time: find a complete labelling whose range escapes everything
+    recorded, maximize it, block it, repeat.
     """
     found: list[RangeWitness] = []
-    if sem is RangeSemantics.STAGE:
-        witness_for: dict[int, int] = {}
-        for s, r in _stage_pairs(af):
-            prev = witness_for.get(r)
-            if prev is None or canonical_key(s, af.n) < canonical_key(prev, af.n):
-                witness_for[r] = s
-        found = [RangeWitness(r, s) for r, s in witness_for.items()]
-    else:
-        blockers: list[int] = []
-        while True:
-            leaf = kernel.find_complete(af, in_clauses=tuple(blockers))
-            if leaf is None:
-                break
-            witness, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1])
-            found.append(RangeWitness(rng, witness))
-            blockers.append(_escape(af, rng))
+    blockers: list[int] = []
+    while True:
+        leaf = kernel.find_complete(af, in_clauses=tuple(blockers))
+        if leaf is None:
+            break
+        witness, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1])
+        found.append(RangeWitness(rng, witness))
+        blockers.append(_escape(af, rng))
     found.sort(key=lambda rw: canonical_key(rw.range_mask, af.n))
     return found
 
@@ -120,23 +107,25 @@ def _stage_pairs(af: ArgumentationFramework) -> list[tuple[int, int]]:
     a naive set, whose range contains its own, so a range maximal among
     naive ranges is maximal among all conflict-free ranges.
     """
-    stable = base_extensions(af, BaseSemantics.STABLE)
+    stable = kernel.complete_extensions(af, notundec=af.all_mask)
     if stable:
         return [(s, af.all_mask) for s in stable]
-    return _maximal_conflict_free(af, range_maximal=True)
+    return _maximal_conflict_free(af)
 
 
-def some_range_extension(af: ArgumentationFramework, sem: RangeSemantics) -> int:
-    """A semi-stable (resp. stage) extension: witness of one maximal range.
+def some_semi_stable(af: ArgumentationFramework) -> int:
+    """A semi-stable extension: the witness of a complete labelling's range,
+    grown until it is maximal."""
+    leaf = kernel.find_complete(af)
+    assert leaf is not None  # the grounded labelling always exists
+    witness, _ = _grow_range(af, leaf[0], leaf[0] | leaf[1])
+    return witness
 
-    For stage: a stable extension if there is one, else a naive set with
-    the most arguments in its range, which is ⊆-maximal (``_max_range``).
-    """
-    if sem is RangeSemantics.SEMI_STABLE:
-        leaf = kernel.find_complete(af)
-        assert leaf is not None  # the grounded labelling always exists
-        witness, _ = _grow_range(af, leaf[0], leaf[0] | leaf[1])
-        return witness
+
+def some_stage(af: ArgumentationFramework) -> int:
+    """A stage extension: a stable extension if there is one, else a naive
+    set with the most arguments in its range, which is ⊆-maximal
+    (``_max_range``)."""
     stable = kernel.find_stable(af)
     if stable is not None:
         return stable
@@ -151,7 +140,7 @@ def semi_stable_all(af: ArgumentationFramework) -> list[int]:
     complete labellings with empty undec).  Otherwise every complete labelling
     is enumerated and the ones with subset-minimal undec sets are kept.
     """
-    stable = base_extensions(af, BaseSemantics.STABLE)
+    stable = kernel.complete_extensions(af, notundec=af.all_mask)
     if stable:
         return stable
     pairs: list[tuple[int, int]] = []
@@ -174,7 +163,7 @@ def stage_all(af: ArgumentationFramework) -> list[int]:
     return [s for s, _ in pairs]
 
 
-def _decide_stage(af: ArgumentationFramework, credulous: bool, q: int) -> bool:
+def decide_stage(af: ArgumentationFramework, credulous: bool, q: int) -> bool:
     """Credulous / skeptical stage acceptance of q, without listing every
     stage extension.
 
@@ -226,31 +215,23 @@ def _decide_stage(af: ArgumentationFramework, credulous: bool, q: int) -> bool:
         known.append(range_of(af, wider))
 
 
-def decide_range(
-    af: ArgumentationFramework,
-    sem: RangeSemantics,
-    credulous: bool,
-    q: int,
-) -> bool:
-    """Credulous (*credulous* true) or skeptical acceptance of argument *q*
-    for semi-stable and stage semantics.
+def decide_range(af: ArgumentationFramework, credulous: bool, q: int) -> bool:
+    """Credulous (*credulous* true) or skeptical semi-stable acceptance of
+    argument *q*.
 
-    Both run a counterexample-guided loop that keeps q in (credulous) or not
-    in (skeptical); stage's is ``_decide_stage``, over naive sets.
-    Semi-stable's finds, each round, a complete labelling that meets that
-    constraint and whose range is not a subset of a blocked range, and
-    grows its range R to be maximal among the labellings that meet it.  If
-    no complete labelling has a range strictly above R, R is maximal among
-    all complete ranges, so the labelling is semi-stable and decides the
-    query: YES for credulous, NO for skeptical.  Otherwise every range that
-    is a subset of R is blocked and the loop repeats.  Proof sketch of the
-    other answer: a semi-stable labelling that meets the constraint has a
-    maximal range, which is no subset of a blocked R (it would equal R,
-    which has a strict superset), so the search would have found it.  Every
-    round blocks a new range, so the loop ends.
+    A counterexample-guided loop that keeps q in (credulous) or not in
+    (skeptical), as ``decide_stage`` does over naive sets.  Each round finds
+    a complete labelling that meets that constraint and whose range is not a
+    subset of a blocked range, and grows its range R to be maximal among the
+    labellings that meet it.  If no complete labelling has a range strictly
+    above R, R is maximal among all complete ranges, so the labelling is
+    semi-stable and decides the query: YES for credulous, NO for skeptical.
+    Otherwise every range that is a subset of R is blocked and the loop
+    repeats.  Proof sketch of the other answer: a semi-stable labelling that
+    meets the constraint has a maximal range, which is no subset of a
+    blocked R (it would equal R, which has a strict superset), so the search
+    would have found it.  Every round blocks a new range, so the loop ends.
     """
-    if sem is RangeSemantics.STAGE:
-        return _decide_stage(af, credulous, q)
     qbit = 1 << q
     keep = {"force_in": qbit} if credulous else {"force_notin": qbit}
     blockers: list[int] = []

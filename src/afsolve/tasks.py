@@ -1,11 +1,12 @@
 """Task dispatch: the five reasoning tasks crossed with the six semantics.
 
-The solve() entry point routes every (task, semantics) pair to the matching
-strategy: direct search for complete and stable, in-first search and
-blocking enumeration for preferred, range growth for semi-stable, the stable
-extensions or else naive-set searches for stage (a range-bounded listing
-for EE and CE, a largest-range search for SE and a loop of them for DC and
-DS), and the two-phase fixed point for ideal.
+solve() is the one place that routes a problem: each (task, semantics) pair
+calls a function that serves that one semantics.  Complete and stable go to
+the kernel's search directly, preferred to its in-first search and blocking
+enumeration, semi-stable to range growth, stage to the stable extensions or
+else to naive-set searches (a range-bounded listing for EE and CE, a
+largest-range search for SE and a loop of them for DC and DS), and ideal to
+the two-phase fixed point.
 
 Acceptance queries avoid whole-extension work.  Skeptical preferred queries
 and ideal queries first shrink the framework to the arguments with a directed
@@ -13,7 +14,7 @@ path to the query.  Skeptical preferred, semi-stable and ideal queries then
 try _shortcut: grounded membership and at most two complete searches.  What
 they leave open goes to a counterexample-guided loop (preferred_without in
 the kernel, decide_range for semi-stable) or, for ideal, to the ideal
-extension.  Stage queries go straight to decide_range's loop over naive
+extension.  Stage queries go straight to decide_stage's loop over naive
 sets.
 
 solve_by_oracle() answers the same tasks from the brute-force oracle's list
@@ -25,9 +26,7 @@ from enum import Enum
 
 from .framework import ArgumentationFramework, canonical_key
 from . import kernel
-from .kernel import BaseSemantics
 from . import ranges
-from .ranges import RangeSemantics
 from .ideal import ideal_extension
 from .oracle import oracle_extensions
 
@@ -65,8 +64,6 @@ _SHORTCUT = {
     (Task.DC, Semantics.ID),
     (Task.DS, Semantics.ID),
 }
-
-_RANGE = {Semantics.SST: RangeSemantics.SEMI_STABLE, Semantics.STG: RangeSemantics.STAGE}
 
 
 class UnknownArgumentError(ValueError):
@@ -127,21 +124,23 @@ def _some_extension(af: ArgumentationFramework, sem: Semantics) -> int | None:
     if sem is Semantics.CO:
         return kernel.find_complete(af)[0]
     if sem is Semantics.PR:
-        return kernel.some_preferred(af)
+        return kernel.maximize_complete(af)
     if sem is Semantics.ST:
         return kernel.find_stable(af)
-    if sem in _RANGE:
-        return ranges.some_range_extension(af, _RANGE[sem])
+    if sem is Semantics.SST:
+        return ranges.some_semi_stable(af)
+    if sem is Semantics.STG:
+        return ranges.some_stage(af)
     return ideal_extension(af)
 
 
 def _all_extensions(af: ArgumentationFramework, sem: Semantics) -> list[int]:
     if sem is Semantics.CO:
-        return kernel.base_extensions(af, BaseSemantics.COMPLETE)
+        return kernel.complete_extensions(af)
     if sem is Semantics.PR:
-        return kernel.base_extensions(af, BaseSemantics.PREFERRED)
+        return kernel.preferred_extensions(af)
     if sem is Semantics.ST:
-        return kernel.base_extensions(af, BaseSemantics.STABLE)
+        return kernel.complete_extensions(af, notundec=af.all_mask)
     if sem is Semantics.SST:
         return ranges.semi_stable_all(af)
     if sem is Semantics.STG:
@@ -151,9 +150,9 @@ def _all_extensions(af: ArgumentationFramework, sem: Semantics) -> list[int]:
 
 def _count_extensions(af: ArgumentationFramework, sem: Semantics) -> int:
     if sem is Semantics.CO:
-        return kernel.count_base(af, BaseSemantics.COMPLETE)
+        return kernel.count_complete(af)
     if sem is Semantics.ST:
-        return kernel.count_base(af, BaseSemantics.STABLE)
+        return kernel.count_complete(af, notundec=af.all_mask)
     if sem is Semantics.ID:
         return 1
     return len(_all_extensions(af, sem))
@@ -187,8 +186,10 @@ def _credulous(af: ArgumentationFramework, sem: Semantics, q: int) -> bool:
         return kernel.find_complete(af, force_in=1 << q) is not None
     if sem is Semantics.ST:
         return kernel.find_stable(af, force_in=1 << q) is not None
-    if sem in _RANGE:
-        return ranges.decide_range(af, _RANGE[sem], credulous=True, q=q)
+    if sem is Semantics.SST:
+        return ranges.decide_range(af, credulous=True, q=q)
+    if sem is Semantics.STG:
+        return ranges.decide_stage(af, credulous=True, q=q)
     return bool((ideal_extension(af) >> q) & 1)
 
 
@@ -202,7 +203,9 @@ def _skeptical(af: ArgumentationFramework, sem: Semantics, q: int) -> bool:
         # a stable extension omitting q must label it out; none means YES,
         # including the vacuous case of no stable extension at all
         return kernel.find_stable(af, force_out=1 << q) is None
-    return ranges.decide_range(af, _RANGE[sem], credulous=False, q=q)
+    if sem is Semantics.SST:
+        return ranges.decide_range(af, credulous=False, q=q)
+    return ranges.decide_stage(af, credulous=False, q=q)
 
 
 def solve(af: ArgumentationFramework, spec: TaskSpec, *, reduce_queries: bool = True) -> SolveResult:

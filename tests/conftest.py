@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from afsolve import ArgumentationFramework, find_complete
-from afsolve.kernel import _self_attackers
+from afsolve import ArgumentationFramework
+from afsolve.framework import bits
+from afsolve.kernel import _self_attackers, find_complete
 
 ACCEPTANCE_LINES = []
 
@@ -48,6 +49,32 @@ def all_three_arg_frameworks():
 
 def names_set(af, masks):
     return {tuple(af.names_of(m)) for m in masks}
+
+
+def naive_sets_unbounded(af):
+    """Every naive set, by the plain pivoted Bron-Kerbosch search that the
+    kernel's range-bounded search prunes, in the same order; kept apart from
+    the kernel so that this reference shares no code with what it checks."""
+    loops = sum(1 << i for i in range(af.n) if (af.targets[i] >> i) & 1)
+    universe = af.all_mask & ~loops
+    compat = [universe & ~(af.attackers[i] | af.targets[i]) & ~(1 << i) for i in range(af.n)]
+    out = []
+
+    def expand(r, p, x):
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        best_u, best_c = -1, -1
+        for u in bits(p | x):
+            if (p & compat[u]).bit_count() > best_c:
+                best_u, best_c = u, (p & compat[u]).bit_count()
+        for v in bits(p & ~compat[best_u]):
+            expand(r | 1 << v, p & compat[v], x & compat[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    expand(0, universe, 0)
+    return out
 
 
 # -- definitional checkers, keyed by the oracle's semantics codes -------------

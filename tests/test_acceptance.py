@@ -11,21 +11,12 @@ import sys
 import time
 
 import afsolve as af_mod
-from afsolve import (
-    BaseSemantics,
-    Semantics,
-    Task,
-    TaskSpec,
-    base_extensions,
-    grounded,
-    ideal_extension,
-    oracle_extensions,
-    semi_stable_all,
-    solve,
-    stage_all,
-)
+from afsolve import Semantics, Task, TaskSpec, oracle_extensions, solve
 from afsolve.cli import main
-from conftest import all_three_arg_frameworks, random_af
+from afsolve.ideal import ideal_extension
+from afsolve.kernel import complete_extensions, grounded, preferred_extensions
+from afsolve.ranges import semi_stable_all, stage_all
+from conftest import all_three_arg_frameworks, naive_sets_unbounded, random_af
 
 FIG = "arg(a). arg(b). att(a,b).\n"
 
@@ -141,10 +132,10 @@ def test_criterion_5_inclusion_at_scale():
         n = rng.randint(1, 60)
         p = rng.choice([0.1, 0.25, 0.5])
         af = random_af(rng, n, p)
-        st = set(base_extensions(af, BaseSemantics.STABLE))
-        co = set(base_extensions(af, BaseSemantics.COMPLETE))
-        pr = set(base_extensions(af, BaseSemantics.PREFERRED))
-        naive = set(base_extensions(af, BaseSemantics.NAIVE))
+        st = set(complete_extensions(af, notundec=af.all_mask))
+        co = set(complete_extensions(af))
+        pr = set(preferred_extensions(af))
+        naive = set(naive_sets_unbounded(af))
         sst = set(semi_stable_all(af))
         stg = set(stage_all(af))
         assert st <= sst <= pr <= co

@@ -13,11 +13,10 @@ from afsolve import (
     ArgumentationFramework,
     EmptyNameError,
     UndeclaredArgumentError,
-    bits,
-    canonical_key,
     parse_apx,
 )
 from afsolve import framework
+from afsolve.framework import bits, canonical_key
 from conftest import build, random_af
 from test_fuzz import SEEDS, mutate
 

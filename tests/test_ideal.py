@@ -1,17 +1,8 @@
 import random
 
-from afsolve import (
-    ArgumentationFramework,
-    BaseSemantics,
-    TaskSpec,
-    base_extensions,
-    credulous_profile,
-    find_complete,
-    grounded,
-    ideal_extension,
-    oracle_extensions,
-    solve,
-)
+from afsolve import ArgumentationFramework, TaskSpec, oracle_extensions, solve
+from afsolve.ideal import credulous_profile, ideal_extension
+from afsolve.kernel import complete_extensions, find_complete, grounded, preferred_extensions
 from conftest import all_three_arg_frameworks, build, is_extension, random_af
 
 
@@ -63,9 +54,9 @@ def test_credulous_profile_is_union_of_complete():
     for _ in range(120):
         af = random_af(rng, rng.randint(1, 7), rng.choice([0.15, 0.4]))
         union = 0
-        for e in base_extensions(af, BaseSemantics.COMPLETE):
+        for e in complete_extensions(af):
             union |= e
-        for p in base_extensions(af, BaseSemantics.PREFERRED):
+        for p in preferred_extensions(af):
             assert credulous_profile(af, p) == p & af.attacked_set(union)
 
 
@@ -110,7 +101,7 @@ def test_ideal_properties():
         ideal = ideal_extension(af)
         assert is_extension(af, ideal, "ADM")
         assert grounded(af) & ~ideal == 0
-        for p in base_extensions(af, BaseSemantics.PREFERRED):
+        for p in preferred_extensions(af):
             assert ideal & ~p == 0
 
 
@@ -118,7 +109,7 @@ def test_ideal_fixpoint_terminates_within_n_rounds():
     rng = random.Random(777)
     for _ in range(60):
         af = random_af(rng, rng.randint(1, 8), 0.3)
-        for p in base_extensions(af, BaseSemantics.PREFERRED):
+        for p in preferred_extensions(af):
             x, rounds = shrink_to_defended(af, p & ~credulous_profile(af, p))
             assert rounds <= af.n
             assert x == ideal_extension(af)

@@ -4,24 +4,20 @@ import subprocess
 import sys
 
 import afsolve
-from afsolve import (
-    ArgumentationFramework,
-    BaseSemantics,
-    TaskSpec,
-    base_extensions,
-    canonical_key,
-    count_base,
+from afsolve import ArgumentationFramework, TaskSpec, oracle_extensions, solve
+from afsolve.framework import bits, canonical_key
+from afsolve.kernel import (
+    _Search,
+    _maximal_conflict_free,
+    _self_attackers,
+    complete_extensions,
+    count_complete,
     find_complete,
     find_stable,
     grounded,
     maximize_complete,
-    oracle_extensions,
     preferred_extensions,
-    solve,
-    some_preferred,
 )
-from afsolve.framework import bits
-from afsolve.kernel import _Search, _self_attackers
 from conftest import (
     all_three_arg_frameworks,
     build,
@@ -29,14 +25,22 @@ from conftest import (
     defends,
     is_conflict_free,
     is_extension,
+    naive_sets_unbounded,
     random_af,
 )
 
+
+def stable_extensions(af):
+    return complete_extensions(af, notundec=af.all_mask)
+
+
+# the listing checked against each oracle code; naive sets come from the
+# reference search in conftest, which the stage tests build on
 _ORACLE_CODE = {
-    BaseSemantics.COMPLETE: "CO",
-    BaseSemantics.STABLE: "ST",
-    BaseSemantics.NAIVE: "NAIVE",
-    BaseSemantics.PREFERRED: "PR",
+    "CO": complete_extensions,
+    "ST": stable_extensions,
+    "NAIVE": naive_sets_unbounded,
+    "PR": preferred_extensions,
 }
 
 
@@ -113,30 +117,30 @@ def test_is_extension_examples():
 
 def test_enumerate_examples():
     ab = build(["a", "b"], [("a", "b")])
-    assert base_extensions(ab, BaseSemantics.COMPLETE) == [ab.mask_of(["a"])]
+    assert complete_extensions(ab) == [ab.mask_of(["a"])]
     mutual = build(["a", "b"], [("a", "b"), ("b", "a")])
-    assert set(base_extensions(mutual, BaseSemantics.PREFERRED)) == {
+    assert set(preferred_extensions(mutual)) == {
         mutual.mask_of(["a"]),
         mutual.mask_of(["b"]),
     }
     empty = build([], [])
-    assert base_extensions(empty, BaseSemantics.STABLE) == [0]
+    assert stable_extensions(empty) == [0]
 
 
 def test_matches_oracle_exhaustive_three_args():
     for af in all_three_arg_frameworks():
-        for sem, code in _ORACLE_CODE.items():
-            assert set(base_extensions(af, sem)) == oracle_extensions(af, code)
+        for code, listing in _ORACLE_CODE.items():
+            assert set(listing(af)) == oracle_extensions(af, code)
 
 
 def test_matches_oracle_random():
     rng = random.Random(1311)
     for _ in range(250):
         af = random_af(rng, rng.randint(1, 7), rng.choice([0.1, 0.25, 0.5]))
-        for sem, code in _ORACLE_CODE.items():
-            assert set(base_extensions(af, sem)) == oracle_extensions(af, code), (
+        for code, listing in _ORACLE_CODE.items():
+            assert set(listing(af)) == oracle_extensions(af, code), (
                 af.attacks,
-                sem,
+                code,
             )
 
 
@@ -144,7 +148,7 @@ def test_every_framework_has_a_complete_extension_and_grounded_is_one():
     rng = random.Random(5150)
     for _ in range(100):
         af = random_af(rng, rng.randint(0, 8), rng.choice([0.2, 0.5]))
-        complete = base_extensions(af, BaseSemantics.COMPLETE)
+        complete = complete_extensions(af)
         assert complete
         assert grounded(af) in complete
 
@@ -153,11 +157,11 @@ def test_inclusion_chains():
     rng = random.Random(616)
     for _ in range(100):
         af = random_af(rng, rng.randint(1, 7), rng.choice([0.15, 0.4]))
-        st = set(base_extensions(af, BaseSemantics.STABLE))
-        pr = set(base_extensions(af, BaseSemantics.PREFERRED))
-        co = set(base_extensions(af, BaseSemantics.COMPLETE))
+        st = set(stable_extensions(af))
+        pr = set(preferred_extensions(af))
+        co = set(complete_extensions(af))
         adm = oracle_extensions(af, "ADM")
-        naive = set(base_extensions(af, BaseSemantics.NAIVE))
+        naive = set(naive_sets_unbounded(af))
         assert st <= pr <= co
         assert pr <= adm
         assert st <= naive
@@ -167,8 +171,8 @@ def test_is_extension_agrees_with_enumeration():
     rng = random.Random(2718)
     for _ in range(60):
         af = random_af(rng, rng.randint(1, 6), 0.3)
-        for sem, code in _ORACLE_CODE.items():
-            visited = set(base_extensions(af, sem))
+        for code, listing in _ORACLE_CODE.items():
+            visited = set(listing(af))
             for s in range(1 << af.n):
                 assert is_extension(af, s, code) == (s in visited)
         for code in ("CF", "ADM"):
@@ -181,8 +185,8 @@ def test_enumeration_is_deterministic_and_canonical():
     rng = random.Random(31415)
     for _ in range(40):
         af = random_af(rng, rng.randint(1, 7), 0.3)
-        first = base_extensions(af, BaseSemantics.COMPLETE)
-        second = base_extensions(af, BaseSemantics.COMPLETE)
+        first = complete_extensions(af)
+        second = complete_extensions(af)
         assert first == second
         keys = [canonical_key(m, af.n) for m in first]
         assert keys == sorted(keys)
@@ -209,16 +213,16 @@ def test_count_matches_enumeration():
     rng = random.Random(9224)
     for _ in range(60):
         af = random_af(rng, rng.randint(1, 7), rng.choice([0.2, 0.5]))
-        for sem in _ORACLE_CODE:
-            assert count_base(af, sem) == len(base_extensions(af, sem))
+        assert count_complete(af) == len(complete_extensions(af))
+        assert count_complete(af, notundec=af.all_mask) == len(stable_extensions(af))
 
 
 def test_find_complete_and_stable_respect_constraints():
     rng = random.Random(3333)
     for _ in range(80):
         af = random_af(rng, rng.randint(1, 7), 0.3)
-        complete = set(base_extensions(af, BaseSemantics.COMPLETE))
-        stable = set(base_extensions(af, BaseSemantics.STABLE))
+        complete = set(complete_extensions(af))
+        stable = set(stable_extensions(af))
         for q in range(af.n):
             leaf = find_complete(af, force_in=1 << q)
             if any((e >> q) & 1 for e in complete):
@@ -255,9 +259,9 @@ def test_preferred_improvement_loop():
     rng = random.Random(818)
     for _ in range(80):
         af = random_af(rng, rng.randint(1, 7), 0.3)
-        pr = set(base_extensions(af, BaseSemantics.PREFERRED))
-        assert some_preferred(af) in pr
-        for e in base_extensions(af, BaseSemantics.COMPLETE):
+        pr = set(preferred_extensions(af))
+        assert maximize_complete(af) in pr
+        for e in complete_extensions(af):
             grown = maximize_complete(af, e)
             assert grown in pr
             assert e & ~grown == 0
@@ -322,7 +326,7 @@ def test_preferred_matches_improvement_loop():
         af = random_af(rng, n, rng.choice([1.5, 3.0, 5.0]) / n)
         old = preferred_by_loop(af)
         assert set(preferred_extensions(af)) == set(old), af.attacks
-        assert is_extension(af, some_preferred(af), "PR")
+        assert is_extension(af, maximize_complete(af), "PR")
         starts = [grounded(af)]
 
         def keep(in_m, out_m, ud_m):
@@ -348,7 +352,7 @@ def test_searches_restore_the_recursion_limit(fixed_recursion_limit):
     assert solve(chain, TaskSpec.from_problem("SE-PR")).extension == chain.mask_of(chain.names[::2])
     assert sys.getrecursionlimit() == before
     free = ArgumentationFramework([f"a{i}" for i in range(500)], [])
-    assert base_extensions(free, BaseSemantics.NAIVE) == [free.all_mask]
+    assert _maximal_conflict_free(free) == [(free.all_mask, free.all_mask)]
     assert sys.getrecursionlimit() == before
     # root propagation settles a chain; 2000 independent cycles take 2000 decisions
     cycles = _two_cycles(2000)

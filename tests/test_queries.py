@@ -4,20 +4,10 @@ whole-extension paths they replaced."""
 
 import random
 
-from afsolve import (
-    ArgumentationFramework,
-    RangeSemantics,
-    Semantics,
-    Task,
-    TaskSpec,
-    find_complete,
-    grounded,
-    ideal_extension,
-    max_ranges,
-    oracle_extensions,
-    preferred_extensions,
-    solve,
-)
+from afsolve import ArgumentationFramework, Semantics, Task, TaskSpec, oracle_extensions, solve
+from afsolve.ideal import ideal_extension
+from afsolve.kernel import find_complete, grounded, preferred_extensions
+from afsolve.ranges import max_ranges
 from conftest import build, random_af
 
 SEMANTICS = (Semantics.PR, Semantics.SST, Semantics.ID)
@@ -69,7 +59,7 @@ def test_queries_match_replaced_paths():
         n = rng.randint(10, 40)
         af = random_af(rng, n, rng.choice([1.5, 3.0, 5.0]) / n)
         preferred = preferred_extensions(af)
-        ranges = max_ranges(af, RangeSemantics.SEMI_STABLE)
+        ranges = max_ranges(af)
         ideal = ideal_extension(af)
         for q in range(n):
             expected = {

@@ -1,28 +1,28 @@
 import random
 import sys
 
-from afsolve import (
-    ArgumentationFramework,
-    BaseSemantics,
-    RangeSemantics,
-    Semantics,
-    Task,
-    TaskSpec,
-    base_extensions,
-    bits,
+from afsolve import ArgumentationFramework, Semantics, Task, TaskSpec, oracle_extensions, solve
+from afsolve.framework import bits, canonical_key
+from afsolve.kernel import complete_extensions, complete_labellings_into
+from afsolve.ranges import (
+    _stage_pairs,
     decide_range,
+    decide_stage,
     max_ranges,
-    oracle_extensions,
     range_of,
     semi_stable_all,
-    solve,
-    some_range_extension,
+    some_semi_stable,
+    some_stage,
     stage_all,
 )
-from afsolve.framework import canonical_key
-from afsolve.kernel import complete_labellings_into
-from afsolve.ranges import _stage_pairs
-from conftest import all_three_arg_frameworks, build, is_extension, names_set, random_af
+from conftest import (
+    all_three_arg_frameworks,
+    build,
+    is_extension,
+    names_set,
+    naive_sets_unbounded,
+    random_af,
+)
 
 
 def test_range_of():
@@ -35,7 +35,7 @@ def test_range_of():
 
 def test_max_ranges_single_attack():
     af = build(["a", "b"], [("a", "b")])
-    witnesses = max_ranges(af, RangeSemantics.SEMI_STABLE)
+    witnesses = max_ranges(af)
     assert len(witnesses) == 1
     assert witnesses[0].range_mask == af.all_mask
     assert witnesses[0].witness == af.mask_of(["a"])
@@ -43,15 +43,15 @@ def test_max_ranges_single_attack():
 
 def test_max_ranges_self_attacker_naive():
     af = build(["a"], [("a", "a")])
-    witnesses = max_ranges(af, RangeSemantics.STAGE)
-    assert len(witnesses) == 1
-    assert witnesses[0].range_mask == 0
-    assert witnesses[0].witness == 0
+    pairs = _stage_pairs(af)
+    assert len(pairs) == 1
+    assert pairs[0][1] == 0
+    assert pairs[0][0] == 0
 
 
 def test_max_ranges_mutual_attack_collapses_to_one():
     af = build(["a", "b"], [("a", "b"), ("b", "a")])
-    witnesses = max_ranges(af, RangeSemantics.SEMI_STABLE)
+    witnesses = max_ranges(af)
     assert len(witnesses) == 1
     assert witnesses[0].range_mask == af.all_mask
 
@@ -60,17 +60,17 @@ def test_max_ranges_properties():
     rng = random.Random(808)
     for _ in range(120):
         af = random_af(rng, rng.randint(1, 7), rng.choice([0.15, 0.4]))
-        for range_sem, code in ((RangeSemantics.SEMI_STABLE, "CO"), (RangeSemantics.STAGE, "CF")):
-            witnesses = max_ranges(af, range_sem)
-            ranges = [w.range_mask for w in witnesses]
+        semi_stable = [(w.witness, w.range_mask) for w in max_ranges(af)]
+        for pairs, code in ((semi_stable, "CO"), (_stage_pairs(af), "CF")):
+            ranges = list(dict.fromkeys(r for _, r in pairs))
             # pairwise incomparable
             for i, r in enumerate(ranges):
                 for j, t in enumerate(ranges):
                     if i != j:
                         assert r & t != r
-            for w in witnesses:
-                assert range_of(af, w.witness) == w.range_mask
-                assert is_extension(af, w.witness, code)
+            for witness, r in pairs:
+                assert range_of(af, witness) == r
+                assert is_extension(af, witness, code)
             # every achievable range is covered by some maximal one
             for s in oracle_extensions(af, code):
                 r = range_of(af, s)
@@ -79,11 +79,11 @@ def test_max_ranges_properties():
 
 def test_some_range_extension_examples():
     ab = build(["a", "b"], [("a", "b")])
-    assert some_range_extension(ab, RangeSemantics.SEMI_STABLE) == ab.mask_of(["a"])
+    assert some_semi_stable(ab) == ab.mask_of(["a"])
     loop = build(["a"], [("a", "a")])
-    assert some_range_extension(loop, RangeSemantics.STAGE) == 0
+    assert some_stage(loop) == 0
     empty = build([], [])
-    assert some_range_extension(empty, RangeSemantics.SEMI_STABLE) == 0
+    assert some_semi_stable(empty) == 0
 
 
 def test_semi_stable_examples():
@@ -107,10 +107,10 @@ def test_stage_examples():
 def test_decide_range_examples():
     cyc = build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
     a = cyc.index_of("a")
-    assert decide_range(cyc, RangeSemantics.STAGE, credulous=True, q=a)
-    assert not decide_range(cyc, RangeSemantics.STAGE, credulous=False, q=a)
+    assert decide_stage(cyc, credulous=True, q=a)
+    assert not decide_stage(cyc, credulous=False, q=a)
     ab = build(["a", "b"], [("a", "b")])
-    assert decide_range(ab, RangeSemantics.SEMI_STABLE, credulous=False, q=ab.index_of("a"))
+    assert decide_range(ab, credulous=False, q=ab.index_of("a"))
 
 
 def test_matches_oracle_exhaustive():
@@ -127,7 +127,7 @@ def test_matches_oracle_random_and_coincidence():
         stg = stage_all(af)
         assert set(sst) == oracle_extensions(af, "SST")
         assert set(stg) == oracle_extensions(af, "STG")
-        stable = set(base_extensions(af, BaseSemantics.STABLE))
+        stable = set(complete_extensions(af, notundec=af.all_mask))
         if stable:
             assert set(sst) == stable
             assert set(stg) == stable
@@ -135,19 +135,19 @@ def test_matches_oracle_random_and_coincidence():
             assert is_extension(af, e, "CO")
         for e in stg:
             assert is_extension(af, e, "NAIVE")
-        assert some_range_extension(af, RangeSemantics.SEMI_STABLE) in set(sst)
-        assert some_range_extension(af, RangeSemantics.STAGE) in set(stg)
+        assert some_semi_stable(af) in set(sst)
+        assert some_stage(af) in set(stg)
 
 
 def test_decide_range_matches_quantifiers():
     rng = random.Random(272)
     for _ in range(120):
         af = random_af(rng, rng.randint(1, 7), rng.choice([0.15, 0.4]))
-        for sem, code in ((RangeSemantics.SEMI_STABLE, "SST"), (RangeSemantics.STAGE, "STG")):
+        for decide, code in ((decide_range, "SST"), (decide_stage, "STG")):
             exts = oracle_extensions(af, code)
             for q in range(af.n):
-                cred = decide_range(af, sem, credulous=True, q=q)
-                skep = decide_range(af, sem, credulous=False, q=q)
+                cred = decide(af, credulous=True, q=q)
+                skep = decide(af, credulous=False, q=q)
                 assert cred == any((e >> q) & 1 for e in exts)
                 assert skep == all((e >> q) & 1 for e in exts)
 
@@ -167,9 +167,10 @@ def _stage_by_restriction(af):
     """Stage extensions derived per maximal naive range: the stable
     extensions of the framework restricted to the range, mapped back."""
     out = []
-    for rw in max_ranges(af, RangeSemantics.STAGE):
-        kept = list(bits(rw.range_mask))
-        for e in base_extensions(af.restrict(rw.range_mask), BaseSemantics.STABLE):
+    for r in sorted({r for _, r in _stage_pairs(af)}, key=lambda m: canonical_key(m, af.n)):
+        kept = list(bits(r))
+        restricted = af.restrict(r)
+        for e in complete_extensions(restricted, notundec=restricted.all_mask):
             out.append(sum(1 << kept[i] for i in bits(e)))
     return out
 
@@ -204,34 +205,6 @@ def test_stage_matches_oracle_on_small_frameworks():
             assert ds == all((e >> q) & 1 for e in exts)
 
 
-def _naive_sets_unbounded(af):
-    """Every naive set, by the plain pivoted Bron-Kerbosch search that the
-    range-bounded search prunes, in the same order; kept apart from the
-    kernel so that the reference below shares no code with what it checks."""
-    loops = sum(1 << i for i in range(af.n) if (af.targets[i] >> i) & 1)
-    universe = af.all_mask & ~loops
-    compat = [universe & ~(af.attackers[i] | af.targets[i]) & ~(1 << i) for i in range(af.n)]
-    out = []
-
-    def expand(r, p, x):
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        best_u, best_c = -1, -1
-        for u in range(af.n):
-            if ((p | x) >> u) & 1 and (p & compat[u]).bit_count() > best_c:
-                best_u, best_c = u, (p & compat[u]).bit_count()
-        branch = p & ~compat[best_u]
-        for v in range(af.n):
-            if (branch >> v) & 1:
-                expand(r | 1 << v, p & compat[v], x & compat[v])
-                p &= ~(1 << v)
-                x |= 1 << v
-
-    expand(0, universe, 0)
-    return out
-
-
 def _stage_pairs_by_filtering(af, naive):
     """The stage pairs as the naive enumeration gives them, filtered to the
     naive sets of maximal range: the reference for the bounded search."""
@@ -248,10 +221,9 @@ def test_stage_pairs_match_the_filtered_naive_enumeration():
     bounded = 0
     for _ in range(200):
         af = random_af(rng, rng.randint(10, 40), rng.uniform(0.03, 0.3))
-        naive = _naive_sets_unbounded(af)
-        assert sorted(naive, key=lambda m: canonical_key(m, af.n)) == base_extensions(af, BaseSemantics.NAIVE)
+        naive = naive_sets_unbounded(af)
         expected = _stage_pairs_by_filtering(af, naive)
-        if base_extensions(af, BaseSemantics.STABLE):
+        if complete_extensions(af, notundec=af.all_mask):
             # the stable path lists the stable extensions in canonical order
             expected.sort(key=lambda p: canonical_key(p[0], af.n))
         else:
@@ -264,10 +236,10 @@ def _assert_stage_queries_match_pairs(af, queries):
     """SE, DC and DS stage answers against the stage extensions that
     ``_stage_pairs`` lists."""
     exts = {s for s, _ in _stage_pairs(af)}
-    assert some_range_extension(af, RangeSemantics.STAGE) in exts
+    assert some_stage(af) in exts
     for q in queries:
-        dc = decide_range(af, RangeSemantics.STAGE, credulous=True, q=q)
-        ds = decide_range(af, RangeSemantics.STAGE, credulous=False, q=q)
+        dc = decide_stage(af, credulous=True, q=q)
+        ds = decide_stage(af, credulous=False, q=q)
         assert dc == any((e >> q) & 1 for e in exts), (af.names, af.attacks, q)
         assert ds == all((e >> q) & 1 for e in exts), (af.names, af.attacks, q)
 

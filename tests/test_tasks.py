@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +11,11 @@ from afsolve import (
     TaskSpec,
     UnknownArgumentError,
     UnsupportedTaskError,
-    grounded,
     oracle_extensions,
-    reduce_to_query,
     solve,
 )
+from afsolve.kernel import grounded
+from afsolve.tasks import reduce_to_query
 from conftest import build, random_af
 
 
@@ -25,6 +26,15 @@ def test_every_exported_name_exists():
     namespace = {}
     exec("from afsolve import *", namespace)
     assert set(afsolve.__all__) <= set(namespace)
+
+
+def test_every_exported_name_is_documented():
+    """afsolve.__all__ is the surface that README's "Library" section lists,
+    each name in backticks."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    undocumented = [name for name in afsolve.__all__ if f"`{name}`" not in library]
+    assert not undocumented, undocumented
 
 
 def test_problem_matrix_is_complete():
