@@ -85,8 +85,8 @@ def main(argv=None) -> int:
             raise _CliError(f"unsupported format {args.fo!r}")
         spec = TaskSpec.from_problem(args.p, args.a)  # task errors come before any I/O
         try:
-            with open(args.f, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(args.f, "r", encoding="utf-8", newline="") as handle:
+                text = handle.read()  # line ends as they are: only \n ends a comment
         except OSError as exc:
             raise _CliError(f"cannot read {args.f}: {exc.strerror}") from None
         except UnicodeDecodeError:

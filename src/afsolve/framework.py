@@ -22,7 +22,7 @@ operations per word, which is what the search kernel needs.
 """
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 
 class ApxError(ValueError):
@@ -185,14 +185,8 @@ class ArgumentationFramework:
         return f"ArgumentationFramework(n={self.n}, attacks={len(self.attacks)})"
 
 
-_NAME_FORBIDDEN = frozenset("(),.%")
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch not in _NAME_FORBIDDEN and not ch.isspace()
-
-
-# In a str pattern, \s is str.isspace, so this class is _is_name_char.
+# In a str pattern, \s is str.isspace: a name character is any other
+# character but ( ) , . %.
 _NAME_CLASS = r"[^\s(),.%]"
 _NAME = f"({_NAME_CLASS}+)"
 # One whole fact and the blanks after it.  Comments are removed before the
@@ -203,6 +197,8 @@ _FACT = re.compile(
 )
 _COMMENT = re.compile(r"%[^\n]*")
 _BLANK = re.compile(r"\s*")
+_NAME_RUN = re.compile(f"{_NAME_CLASS}*")
+_COMMENT_BLANK = re.compile(r"%[^\n]*\s*")
 
 
 def parse_apx(text: str) -> ArgumentationFramework:
@@ -215,8 +211,9 @@ def parse_apx(text: str) -> ArgumentationFramework:
     Comments are removed first; the tokens around a comment stay apart,
     because it ends at a newline or at the end of the input.  Then each
     fact is read by one match of ``_FACT`` anchored where the previous one
-    ended.  Input the scan rejects is read again by ``_parse_by_chars``,
-    which words the error.
+    ended.  Input the scan rejects is read again by ``_raise_first_error``,
+    which words its first error; an att fact that names an undeclared
+    argument is worded by ``ArgumentationFramework.build``.
     """
     scanned = _COMMENT.sub("", text)
     match = _FACT.match
@@ -227,7 +224,7 @@ def parse_apx(text: str) -> ArgumentationFramework:
     while pos < end:
         fact = match(scanned, pos)
         if fact is None:
-            return _parse_by_chars(text)
+            _raise_first_error(text)
         name, a, b = fact.groups()
         if name is None:
             att_facts.append((a, b))
@@ -240,84 +237,55 @@ def parse_apx(text: str) -> ArgumentationFramework:
         pass  # an att fact names an undeclared argument
     else:
         return ArgumentationFramework(tuple(index), pairs)
-    return _parse_by_chars(text)
+    return ArgumentationFramework.build(tuple(index), att_facts)
 
 
-def _parse_by_chars(text: str) -> ArgumentationFramework:
-    """Read apx text one character at a time.
-
-    ``parse_apx`` calls this only on input its scan rejected, and on such
-    input it raises the first error in reading order.
+def _raise_first_error(text: str) -> NoReturn:
+    """Read apx text the fact scan rejected, one token at a time, and raise
+    its first error in reading order.  Offsets count in *text*, comments
+    included.
     """
-    pos = 0
     end = len(text)
 
     def skip_blank(i: int) -> int:
-        while i < end:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch == "%":
-                while i < end and text[i] != "\n":
-                    i += 1
-            else:
-                break
+        # one match per comment: a single regex repeating over blanks and
+        # comments keeps state for each repeat, so a long run of comment
+        # lines would cost memory in proportion to its length
+        i = _BLANK.match(text, i).end()
+        while text.startswith("%", i):
+            i = _COMMENT_BLANK.match(text, i).end()
         return i
 
-    def read_name(i: int) -> tuple[str, int]:
-        start = i
-        while i < end and _is_name_char(text[i]):
-            i += 1
-        return text[start:i], i
-
-    names: list[str] = []
-    declared: set[str] = set()
-    att_facts: list[tuple[str, str]] = []
-
-    while True:
-        pos = skip_blank(pos)
-        if pos >= end:
-            break
-        predicate, pos = read_name(pos)
+    pos = skip_blank(0)
+    while pos < end:
+        predicate = _NAME_RUN.match(text, pos).group()
         if not predicate:
             raise ApxSyntaxError(f"unexpected character {text[pos]!r} at offset {pos}")
-        pos = skip_blank(pos)
-        if pos >= end or text[pos] != "(":
+        pos = skip_blank(pos + len(predicate))
+        if text[pos:pos + 1] != "(":
             raise ApxSyntaxError(f"expected '(' after {predicate!r}")
-        pos += 1
-        terms: list[str] = []
-        while True:
-            pos = skip_blank(pos)
-            term, pos = read_name(pos)
+        arity = 0
+        while text[pos] != ")":  # pos is at the "(" or at a ","
+            pos = skip_blank(pos + 1)
+            term = _NAME_RUN.match(text, pos).group()
             if not term:
                 raise EmptyNameError(f"empty argument name in {predicate!r} fact")
-            terms.append(term)
-            pos = skip_blank(pos)
+            arity += 1
+            pos = skip_blank(pos + len(term))
             if pos >= end:
                 raise ApxSyntaxError("unterminated fact at end of input")
-            if text[pos] == ",":
-                pos += 1
-                continue
-            if text[pos] == ")":
-                pos += 1
-                break
-            raise ApxSyntaxError(f"expected ',' or ')' at offset {pos}")
-        pos = skip_blank(pos)
-        if pos >= end or text[pos] != ".":
+            if text[pos] not in ",)":
+                raise ApxSyntaxError(f"expected ',' or ')' at offset {pos}")
+        pos = skip_blank(pos + 1)
+        if text[pos:pos + 1] != ".":
             raise ApxSyntaxError(f"missing terminating period after {predicate!r} fact")
-        pos += 1
-
         if predicate == "arg":
-            if len(terms) != 1:
-                raise ApxSyntaxError(f"arg fact takes one name, got {len(terms)}")
-            if terms[0] not in declared:
-                declared.add(terms[0])
-                names.append(terms[0])
+            if arity != 1:
+                raise ApxSyntaxError(f"arg fact takes one name, got {arity}")
         elif predicate == "att":
-            if len(terms) != 2:
-                raise ApxSyntaxError(f"att fact takes two names, got {len(terms)}")
-            att_facts.append((terms[0], terms[1]))
+            if arity != 2:
+                raise ApxSyntaxError(f"att fact takes two names, got {arity}")
         else:
             raise ApxSyntaxError(f"unknown predicate {predicate!r}")
-
-    return ArgumentationFramework.build(names, att_facts)
+        pos = skip_blank(pos + 1)
+    raise AssertionError("the fact scan rejected well-formed apx text")

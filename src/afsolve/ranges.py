@@ -2,8 +2,8 @@
 
 The range of a set S is S plus everything S attacks; in labelling terms it is
 in | out, so range constraints are exactly undec constraints.  Maximal ranges
-are discovered one at a time: find a base set, grow its range until no base
-set exceeds it, record it, then block every range it covers and repeat.
+are discovered one at a time: find a complete labelling, grow its range until
+none exceeds it, record it, then block every range it covers and repeat.
 "The range escapes R" is an in-clause over complete labellings (see
 ``_escape``), so growing and blocking need no constraint of their own.
 Stage works on naive sets, after a stable search: if a stable extension

@@ -177,6 +177,20 @@ def test_bad_query_and_bad_apx(tmp_path, capsys):
     assert code != 0 and "unknown argument" in err
 
 
+def test_file_is_read_with_its_own_line_ends(fig_file, tmp_path, capsys):
+    # a lone \r does not end a comment, so r stays undeclared
+    path = tmp_path / "cr.apx"
+    path.write_bytes(b"arg(a).\n% note\rarg(r).\natt(a,r).\n")
+    code, out, err = run_cli(["-p", "EE-CO", "-f", str(path), "-fo", "apx"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "afsolve: att references undeclared argument 'r'\n"
+    crlf = tmp_path / "crlf.apx"
+    crlf.write_bytes(FIG.replace("\n", "\r\n").encode())
+    for problem, query in [("EE-CO", []), ("SE-PR", []), ("CE-ST", []), ("DC-CO", ["-a", "a"])]:
+        argv = ["-p", problem, "-fo", "apx", *query]
+        assert run_cli([*argv, "-f", str(crlf)], capsys) == run_cli([*argv, "-f", fig_file], capsys)
+
+
 def test_module_invocation_subprocess(fig_file):
     proc = subprocess.run(
         [sys.executable, "-m", "afsolve", "-p", "EE-CO", "-f", fig_file, "-fo", "apx"],

@@ -77,27 +77,44 @@ def test_parse_exotic_names():
     assert af.names == ("n_1", "x-y'z")
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "arg(a)",          # missing period
-        "arg a.",          # missing parens
-        "arg(a,b).",       # wrong arity
-        "att(a).",         # wrong arity
-        "foo(a).",         # unknown predicate
-        "arg(a)) .",       # stray token
-        "arg(a). att(a",   # unterminated
-    ],
-)
-def test_parse_syntax_errors(text):
-    with pytest.raises(ApxSyntaxError):
-        parse_apx(text)
+SYNTAX_ERRORS = [
+    ("arg(a)", "missing terminating period after 'arg' fact"),
+    ("arg a.", "expected '(' after 'arg'"),
+    ("arg(a,b).", "arg fact takes one name, got 2"),
+    ("att(a).", "att fact takes two names, got 1"),
+    ("foo(a).", "unknown predicate 'foo'"),
+    ("arg(a)) .", "missing terminating period after 'arg' fact"),
+    ("arg(a). )", "unexpected character ')' at offset 8"),
+    ("arg(a). att(a", "unterminated fact at end of input"),
+    ("arg(a b).", "expected ',' or ')' at offset 6"),
+    # offsets count the comments that the scan removes
+    ("% c\narg(a). % d\n.", "unexpected character '.' at offset 16"),
+    ("arg(a % d\n b).", "expected ',' or ')' at offset 11"),
+    ("att(a,b)% c", "missing terminating period after 'att' fact"),
+    ("arg(a). foo(b", "unterminated fact at end of input"),  # reads on past the predicate
+]
 
 
-@pytest.mark.parametrize("text", ["arg().", "att(,b).", "arg( )."])
-def test_parse_empty_name(text):
-    with pytest.raises(EmptyNameError):
+@pytest.mark.parametrize("text, message", SYNTAX_ERRORS, ids=[text for text, _ in SYNTAX_ERRORS])
+def test_parse_syntax_errors(text, message):
+    with pytest.raises(ApxSyntaxError) as caught:
         parse_apx(text)
+    assert str(caught.value) == message
+
+
+EMPTY_NAMES = [
+    ("arg().", "empty argument name in 'arg' fact"),
+    ("att(,b).", "empty argument name in 'att' fact"),
+    ("arg( ).", "empty argument name in 'arg' fact"),
+    ("foo(a,% c\n).", "empty argument name in 'foo' fact"),
+]
+
+
+@pytest.mark.parametrize("text, message", EMPTY_NAMES, ids=[text for text, _ in EMPTY_NAMES])
+def test_parse_empty_name(text, message):
+    with pytest.raises(EmptyNameError) as caught:
+        parse_apx(text)
+    assert str(caught.value) == message
 
 
 def test_roundtrip_random():
@@ -208,6 +225,13 @@ def test_canonical_key_matches_the_bit_loop():
             assert canonical_key(mask, n) == _canonical_key_by_bits(mask, n), (mask, n)
 
 
+_NAME_FORBIDDEN = frozenset("(),.%")
+
+
+def _is_name_char(ch: str) -> bool:
+    return ch not in _NAME_FORBIDDEN and not ch.isspace()
+
+
 def _parse_apx_by_chars(text: str) -> ArgumentationFramework:
     """The character loop that ``parse_apx`` used before its fact scanner,
     kept as the reference of the differential tests below."""
@@ -228,7 +252,7 @@ def _parse_apx_by_chars(text: str) -> ArgumentationFramework:
 
     def read_name(i: int) -> tuple[str, int]:
         start = i
-        while i < end and framework._is_name_char(text[i]):
+        while i < end and _is_name_char(text[i]):
             i += 1
         return text[start:i], i
 
@@ -342,9 +366,9 @@ def test_parse_apx_reads_decorated_text_without_the_character_loop(monkeypatch):
         texts.append((text, af))
 
     def no_fallback(text):
-        raise AssertionError(f"valid input fell back to the character loop: {text!r}")
+        raise AssertionError(f"valid input reached the stepwise reader: {text!r}")
 
-    monkeypatch.setattr(framework, "_parse_by_chars", no_fallback)
+    monkeypatch.setattr(framework, "_raise_first_error", no_fallback)
     for text, af in texts:
         assert parse_apx(text) == af, repr(text)
 
@@ -352,19 +376,24 @@ def test_parse_apx_reads_decorated_text_without_the_character_loop(monkeypatch):
 def test_scanner_classes_agree_with_the_character_loop_on_every_code_point():
     every = "".join(map(chr, range(0x110000)))
     name_chars = "".join(re.findall(framework._NAME_CLASS, every))
-    assert name_chars == "".join(filter(framework._is_name_char, every))
+    assert name_chars == "".join(filter(_is_name_char, every))
     assert "".join(re.findall(r"\s", every)) == "".join(filter(str.isspace, every))
 
 
 # Each input is built and parsed in a child process, so that a regex that
-# backtracks or rescans fails the test at the time limit instead of hanging.
+# backtracks or rescans fails the test at the time limit instead of hanging,
+# and one that keeps state per repeat fails it on the growth of the peak
+# resident set (ru_maxrss counts KiB on Linux).
 GUARD = """
-import sys
+import resource, sys
 from afsolve import ApxError, parse_apx
+text = {text}
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 try:
-    parse_apx({text})
+    parse_apx(text)
 except ApxError:
-    sys.exit(0)
+    grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    sys.exit(f"peak RSS grew by {{grown}} KiB" if grown > 40 * 1024 else 0)
 sys.exit("parsed without an ApxError")
 """
 
@@ -376,8 +405,9 @@ sys.exit("parsed without an ApxError")
         '" " * 200_000 + "arg(a"',
         '"arg(" + "x" * 100_000',
         '"".join(f"arg(a{i}).\\n" for i in range(20_000)) + "att(a0 a1)."',
+        '"% c\\n" * 350_000 + "arg(a"',
     ],
-    ids=["long-comment", "long-blank", "long-name", "many-facts"],
+    ids=["long-comment", "long-blank", "long-name", "many-facts", "many-comments"],
 )
 def test_malformed_input_fails_in_linear_time(text):
     src = str(Path(__file__).resolve().parent.parent / "src")
