@@ -15,6 +15,9 @@ The apx grammar, exactly as ``parse_apx`` reads it:
 - a comment runs from ``%`` up to the next ``\n`` or the end of the input;
   only ``\n`` ends a comment.
 
+``parse_apx`` reads every fact with one ``re.split`` and rejects text with
+anything but blanks before, between or after the facts.
+
 Argument sets are plain Python ints used as bitmasks: bit ``i`` set means the
 argument with index ``i`` is a member.  This gives set algebra (``|``, ``&``,
 ``& ~``), subset tests and cardinality (``bit_count``) in a handful of machine
@@ -49,13 +52,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of_indices(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def canonical_key(mask: int, n: int) -> int:
     """Sort key realizing the canonical extension order.
 
@@ -71,11 +67,13 @@ class ArgumentationFramework:
 
     Arguments carry dense indices 0..n-1 in declaration order.  ``attackers[i]``
     is the bitmask of arguments attacking ``i``; ``targets[i]`` the bitmask of
-    arguments attacked by ``i``.  ``attacks`` lists the (attacker, target)
-    index pairs, deduplicated and sorted.
+    arguments attacked by ``i``; both are built straight from the attack pairs,
+    given in any order, with repeats, or by a one-shot iterator.  ``attacks``
+    lists the pairs sorted and deduplicated; it is derived from ``targets`` on
+    first read and cached, and two threads that race there write equal tuples.
     """
 
-    __slots__ = ("n", "names", "attacks", "attackers", "targets", "all_mask", "_index")
+    __slots__ = ("n", "names", "_attacks", "attackers", "targets", "all_mask", "_index")
 
     def __init__(self, names: Sequence[str], attacks: Iterable[tuple[int, int]]):
         names = tuple(names)
@@ -87,21 +85,27 @@ class ArgumentationFramework:
                 raise ValueError(f"duplicate argument name {name!r}")
             index[name] = i
         n = len(names)
-        pairs = sorted(set(attacks))
         attackers = [0] * n
         targets = [0] * n
-        for a, b in pairs:
+        for a, b in attacks:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"attack ({a},{b}) references an index out of range")
             targets[a] |= 1 << b
             attackers[b] |= 1 << a
         self.n = n
         self.names = names
-        self.attacks = tuple(pairs)
+        self._attacks = None
         self.attackers = tuple(attackers)
         self.targets = tuple(targets)
         self.all_mask = (1 << n) - 1
         self._index = index
+
+    @property
+    def attacks(self) -> tuple[tuple[int, int], ...]:
+        """The (attacker, target) index pairs, by attacker, then by target."""
+        if self._attacks is None:
+            self._attacks = tuple((a, b) for a, row in enumerate(self.targets) for b in bits(row))
+        return self._attacks
 
     @classmethod
     def build(cls, names: Sequence[str], named_attacks: Iterable[tuple[str, str]]) -> "ArgumentationFramework":
@@ -120,7 +124,10 @@ class ArgumentationFramework:
         return self._index[name]
 
     def mask_of(self, names: Iterable[str]) -> int:
-        return mask_of_indices(self._index[name] for name in names)
+        m = 0
+        for name in names:
+            m |= 1 << self._index[name]
+        return m
 
     def names_of(self, mask: int) -> list[str]:
         return [self.names[i] for i in bits(mask)]
@@ -160,13 +167,8 @@ class ArgumentationFramework:
             return self
         kept = list(bits(s))
         sub_index = {old: new for new, old in enumerate(kept)}
-        names = [self.names[old] for old in kept]
-        pairs = [
-            (sub_index[a], sub_index[b])
-            for a, b in self.attacks
-            if (s >> a) & 1 and (s >> b) & 1
-        ]
-        return ArgumentationFramework(names, pairs)
+        pairs = [(sub_index[a], sub_index[b]) for a in kept for b in bits(self.targets[a] & s)]
+        return ArgumentationFramework([self.names[old] for old in kept], pairs)
 
     def to_apx(self) -> str:
         lines = [f"arg({name})." for name in self.names]
@@ -176,10 +178,10 @@ class ArgumentationFramework:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArgumentationFramework):
             return NotImplemented
-        return self.names == other.names and self.attacks == other.attacks
+        return self.names == other.names and self.targets == other.targets
 
     def __hash__(self) -> int:
-        return hash((self.names, self.attacks))
+        return hash((self.names, self.targets))
 
     def __repr__(self) -> str:
         return f"ArgumentationFramework(n={self.n}, attacks={len(self.attacks)})"
@@ -190,7 +192,7 @@ class ArgumentationFramework:
 _NAME_CLASS = r"[^\s(),.%]"
 _NAME = f"({_NAME_CLASS}+)"
 # One whole fact and the blanks after it.  Comments are removed before the
-# scan, so every repeat here is over one character class: a failed match
+# split, so every repeat here is over one character class: a failed match
 # backtracks in linear time and keeps no per-character state.
 _FACT = re.compile(
     rf"(?:arg\s*\(\s*{_NAME}\s*\)|att\s*\(\s*{_NAME}\s*,\s*{_NAME}\s*\))\s*\.\s*"
@@ -209,39 +211,31 @@ def parse_apx(text: str) -> ArgumentationFramework:
     are idempotent and duplicate att facts collapse to one edge.
 
     Comments are removed first; the tokens around a comment stay apart,
-    because it ends at a newline or at the end of the input.  Then each
-    fact is read by one match of ``_FACT`` anchored where the previous one
-    ended.  Input the scan rejects is read again by ``_raise_first_error``,
-    which words its first error; an att fact that names an undeclared
-    argument is worded by ``ArgumentationFramework.build``.
+    because it ends at a newline or at the end of the input.  Then one
+    ``_FACT.split`` gives each fact as three group pieces (an arg name, or two
+    att names) and the gap after it.  Text with anything but blanks before the
+    first fact, or a nonempty gap, is read again by ``_raise_first_error``,
+    which words its first error; ``ArgumentationFramework.build`` words an
+    undeclared att name.
     """
-    scanned = _COMMENT.sub("", text)
-    match = _FACT.match
-    index: dict[str, int] = {}
-    att_facts: list[tuple[str, str]] = []
-    pos = _BLANK.match(scanned).end()
-    end = len(scanned)
-    while pos < end:
-        fact = match(scanned, pos)
-        if fact is None:
-            _raise_first_error(text)
-        name, a, b = fact.groups()
-        if name is None:
-            att_facts.append((a, b))
-        elif name not in index:
-            index[name] = len(index)
-        pos = fact.end()
+    parts = _FACT.split(_COMMENT.sub("", text))
+    if parts[0].strip() or any(parts[4::4]):
+        _raise_first_error(text)
+    names = tuple(dict.fromkeys(filter(None, parts[1::4])))
+    index = dict(zip(names, range(len(names))))
+    sources = list(filter(None, parts[2::4]))
+    sinks = list(filter(None, parts[3::4]))
     try:
-        pairs = [(index[a], index[b]) for a, b in att_facts]
+        pairs = zip([*map(index.__getitem__, sources)], [*map(index.__getitem__, sinks)])
     except KeyError:
         pass  # an att fact names an undeclared argument
     else:
-        return ArgumentationFramework(tuple(index), pairs)
-    return ArgumentationFramework.build(tuple(index), att_facts)
+        return ArgumentationFramework(names, pairs)
+    return ArgumentationFramework.build(names, zip(sources, sinks))
 
 
 def _raise_first_error(text: str) -> NoReturn:
-    """Read apx text the fact scan rejected, one token at a time, and raise
+    """Read apx text the fact split rejected, one token at a time, and raise
     its first error in reading order.  Offsets count in *text*, comments
     included.
     """
@@ -288,4 +282,4 @@ def _raise_first_error(text: str) -> NoReturn:
         else:
             raise ApxSyntaxError(f"unknown predicate {predicate!r}")
         pos = skip_blank(pos + 1)
-    raise AssertionError("the fact scan rejected well-formed apx text")
+    raise AssertionError("the fact split rejected well-formed apx text")

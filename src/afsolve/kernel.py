@@ -50,7 +50,7 @@ search state lives in local ints and lists, so concurrent searches, in one
 thread or several, over the same framework or not, never interfere.
 """
 
-from .framework import ArgumentationFramework, canonical_key, mask_of_indices
+from .framework import ArgumentationFramework, canonical_key
 
 
 class _Search:
@@ -345,25 +345,28 @@ def grounded(af: ArgumentationFramework) -> int:
     in, so it goes in, and its targets go out.  Every argument goes in or out
     at most once, so every attack is followed at most twice.
     """
-    targets: list[list[int]] = [[] for _ in range(af.n)]
-    live = [0] * af.n
-    for a, b in af.attacks:
-        targets[a].append(b)
-        live[b] += 1
+    targets = af.targets
+    live = [row.bit_count() for row in af.attackers]
     todo = [a for a in range(af.n) if live[a] == 0]
     out = [False] * af.n
-    members = []
+    members = 0
     while todo:
         a = todo.pop()
-        members.append(a)
-        for b in targets[a]:
+        members |= 1 << a
+        row = targets[a]
+        while row:  # highest index first: the order does not change the fixpoint
+            b = row.bit_length() - 1
+            row ^= 1 << b
             if not out[b]:
                 out[b] = True
-                for c in targets[b]:
+                hit = targets[b]
+                while hit:
+                    c = hit.bit_length() - 1
+                    hit ^= 1 << c
                     live[c] -= 1
                     if live[c] == 0:
                         todo.append(c)
-    return mask_of_indices(members)
+    return members
 
 
 def _self_attackers(af: ArgumentationFramework) -> int:

@@ -77,6 +77,39 @@ def naive_sets_unbounded(af):
     return out
 
 
+def grounded_by_attack_lists(af: ArgumentationFramework) -> int:
+    """The grounded worklist as it was before it read the rows: adjacency
+    lists and attacker counts built from ``af.attacks``."""
+    targets: list[list[int]] = [[] for _ in range(af.n)]
+    live = [0] * af.n
+    for a, b in af.attacks:
+        targets[a].append(b)
+        live[b] += 1
+    todo = [a for a in range(af.n) if live[a] == 0]
+    out = [False] * af.n
+    members = 0
+    while todo:
+        a = todo.pop()
+        members |= 1 << a
+        for b in targets[a]:
+            if not out[b]:
+                out[b] = True
+                for c in targets[b]:
+                    live[c] -= 1
+                    if live[c] == 0:
+                        todo.append(c)
+    return members
+
+
+def restrict_by_attack_filter(af: ArgumentationFramework, s: int) -> ArgumentationFramework:
+    """``restrict`` as it was before it followed the kept rows: a filter over
+    every attack of *af*."""
+    kept = list(bits(s))
+    sub_index = {old: new for new, old in enumerate(kept)}
+    pairs = [(sub_index[a], sub_index[b]) for a, b in af.attacks if (s >> a) & 1 and (s >> b) & 1]
+    return ArgumentationFramework([af.names[old] for old in kept], pairs)
+
+
 # -- definitional checkers, keyed by the oracle's semantics codes -------------
 
 

@@ -17,7 +17,7 @@ from afsolve import (
 )
 from afsolve import framework
 from afsolve.framework import bits, canonical_key
-from conftest import build, random_af
+from conftest import build, random_af, restrict_by_attack_filter
 from test_fuzz import SEEDS, mutate
 
 
@@ -189,6 +189,36 @@ def test_restrict():
     assert sub.attacks == ((0, 1),)
 
 
+def test_restrict_matches_the_attack_filter():
+    rng = random.Random(1315)
+    for _ in range(150):
+        af = random_af(rng, rng.randint(1, 40), rng.choice([0.03, 0.08, 0.2]))
+        masks = {af.reverse_reachable(q) for q in range(af.n)} | {rng.getrandbits(af.n)}
+        for s in masks:
+            sub, ref = af.restrict(s), restrict_by_attack_filter(af, s)
+            assert (sub.names, sub.attacks, sub.attackers, sub.targets) == (
+                ref.names, ref.attacks, ref.attackers, ref.targets), (af.attacks, s)
+
+
+def test_constructor_reads_pairs_in_any_order():
+    pairs = [(0, 1), (1, 0), (2, 2), (0, 2), (3, 1)]
+    ordered = ArgumentationFramework("abcd", sorted(set(pairs)))
+    # a one-shot iterator, reversed, with every pair twice
+    af = ArgumentationFramework("abcd", (p for p in reversed(pairs + pairs)))
+    assert af.attacks == ordered.attacks == ((0, 1), (0, 2), (1, 0), (2, 2), (3, 1))
+    assert (af.attackers, af.targets) == (ordered.attackers, ordered.targets)
+    assert af == ordered and hash(af) == hash(ordered)
+    assert af.attacks is af.attacks  # derived once, then cached
+
+
+@pytest.mark.parametrize("pair", [(0, 3), (-1, 0)])
+def test_constructor_rejects_an_index_out_of_range(pair):
+    a, b = pair
+    message = f"attack ({a},{b}) references an index out of range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ArgumentationFramework(["a", "b"], [(0, 1), pair])
+
+
 def test_adjacency_is_transpose_consistent():
     rng = random.Random(31)
     for _ in range(30):
@@ -333,6 +363,19 @@ def test_parse_apx_matches_the_character_loop_on_fuzzed_text():
     assert 0 < failures < 20000  # both valid and malformed texts were drawn
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["arg(a).zarg(b).", "arg(a).%c\nzarg(b).", "x arg(a).", "arg(a). )"],
+    ids=["between-facts", "after-a-comment", "before-the-first-fact", "after-the-last-fact"],
+)
+def test_parse_apx_rejects_what_a_search_would_skip(text):
+    # a split finds facts by search, so text around or between them shows
+    # only as a non-blank first piece or a non-empty gap
+    expected = _outcome(_parse_apx_by_chars, text)
+    assert issubclass(expected[0], ApxError)
+    assert _outcome(parse_apx, text) == expected
+
+
 NAME_CHARS = "ab_-'019é∀\x00\x1b\u200b"  # U+200B is a format character, not a space
 BLANKS = ("", " ", "\t", "\r", "\n", "\r\n", "\x0b", "\x85", "\u3000",
           "%\n", "% c (),.%\n", "%%\r\n", " %x\n\t",
@@ -406,8 +449,11 @@ sys.exit("parsed without an ApxError")
         '"arg(" + "x" * 100_000',
         '"".join(f"arg(a{i}).\\n" for i in range(20_000)) + "att(a0 a1)."',
         '"% c\\n" * 350_000 + "arg(a"',
+        '"".join(f"arg(a{i}).\\n" for i in range(20_000)) + ")"'
+        ' + "".join(f"arg(b{i}).\\n" for i in range(20_000))',
     ],
-    ids=["long-comment", "long-blank", "long-name", "many-facts", "many-comments"],
+    ids=["long-comment", "long-blank", "long-name", "many-facts", "many-comments",
+         "bad-character-between-facts"],
 )
 def test_malformed_input_fails_in_linear_time(text):
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -23,6 +23,7 @@ from conftest import (
     build,
     characteristic,
     defends,
+    grounded_by_attack_lists,
     is_conflict_free,
     is_extension,
     naive_sets_unbounded,
@@ -95,6 +96,18 @@ def test_grounded_matches_fixpoint_and_oracle():
         g = grounded(af)
         assert g == characteristic_fixpoint(af), af.attacks
         assert {g} == oracle_extensions(af, "GR"), af.attacks
+
+
+def test_grounded_matches_the_attack_list_worklist():
+    # random_af draws self-attacks too; each query's reduction is what the
+    # acceptance shortcut computes the grounded extension of
+    rng = random.Random(1314)
+    for _ in range(150):
+        af = random_af(rng, rng.randint(1, 40), rng.choice([0.03, 0.08, 0.2]))
+        assert grounded(af) == grounded_by_attack_lists(af), af.attacks
+        for q in range(af.n):
+            sub = af.restrict(af.reverse_reachable(q))
+            assert grounded(sub) == grounded_by_attack_lists(sub), (af.attacks, q)
 
 
 def test_grounded_on_a_long_chain():
