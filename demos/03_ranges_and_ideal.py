@@ -37,8 +37,8 @@ print("maximal stage ranges:")
 for r, group in by_range.items():
     print(f"  range {show(r)} witnessed by {show(group[0])}")
 print("maximal semi-stable ranges:")
-for rw in max_ranges(af):
-    print(f"  range {show(rw.range_mask)} witnessed by {show(rw.witness)}")
+for r, witness in max_ranges(af):
+    print(f"  range {show(r)} witnessed by {show(witness)}")
 print()
 
 print("stage extensions, grouped by range:")

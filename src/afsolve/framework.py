@@ -123,12 +123,6 @@ class ArgumentationFramework:
         """Index of *name*; raises KeyError if not declared."""
         return self._index[name]
 
-    def mask_of(self, names: Iterable[str]) -> int:
-        m = 0
-        for name in names:
-            m |= 1 << self._index[name]
-        return m
-
     def names_of(self, mask: int) -> list[str]:
         return [self.names[i] for i in bits(mask)]
 
@@ -169,11 +163,6 @@ class ArgumentationFramework:
         sub_index = {old: new for new, old in enumerate(kept)}
         pairs = [(sub_index[a], sub_index[b]) for a in kept for b in bits(self.targets[a] & s)]
         return ArgumentationFramework([self.names[old] for old in kept], pairs)
-
-    def to_apx(self) -> str:
-        lines = [f"arg({name})." for name in self.names]
-        lines += [f"att({self.names[a]},{self.names[b]})." for a, b in self.attacks]
-        return "\n".join(lines) + ("\n" if lines else "")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArgumentationFramework):

@@ -29,7 +29,8 @@ wandering over the whole framework.  Existence searches (``find_first``) try
 not-in first on a free argument and close a branch as soon as no obligation
 is pending, since labelling everything still free as undec then completes the
 labelling.  Every other search tries in first at every decision, so its first
-leaf is subset-maximal (``maximize_complete``); preferred is built on that.
+leaf is subset-maximal (``maximize_complete``); preferred is built on that,
+in one blocking loop (``_maximal_blocked``).
 
 Optional constraints used by the strategy layers:
 
@@ -37,13 +38,7 @@ Optional constraints used by the strategy layers:
   * ``in_clauses``: masks of which at least one argument must be in
     (strict-superset and blocking searches for preferred and for ranges).
 
-Naive sets come from a separate search: Bron–Kerbosch on the graph of
-arguments that do not conflict, whose maximal cliques they are.  Stage
-semantics uses it twice: ``_maximal_conflict_free`` lists the naive sets of
-maximal range, and ``_max_range`` is a branch and bound for the naive set of
-largest range.
-
-Every search is a loop over an explicit stack of pending nodes, not a
+The search is a loop over an explicit stack of pending nodes, not a
 recursion, so its depth costs memory but no interpreter frames: a search
 never sets the recursion limit or any other state of the interpreter.  All
 search state lives in local ints and lists, so concurrent searches, in one
@@ -64,7 +59,6 @@ class _Search:
         af: ArgumentationFramework,
         *,
         force_in: int = 0,
-        force_out: int = 0,
         force_notin: int = 0,
         notundec: int = 0,
         in_clauses: tuple[int, ...] = (),
@@ -77,7 +71,6 @@ class _Search:
         self.targets = af.targets
         self.notundec = notundec & af.all_mask
         self.force_in = force_in
-        self.force_out = force_out
         self.force_notin = force_notin
         self.in_clauses = tuple(c & af.all_mask for c in in_clauses)
         self.find_first = find_first
@@ -304,7 +297,6 @@ class _Search:
         state = self._propagate(
             (0, 0, 0, 0, self.in_clauses),
             f_in=self.force_in,
-            f_out=self.force_out,
             # self-attackers can never be labelled in
             f_ni=self.force_notin | _self_attackers(self.af),
             recheck_g=self.all,
@@ -327,8 +319,9 @@ def find_complete(af: ArgumentationFramework, *, find_first: bool = True, **kw):
 
 
 def find_stable(af: ArgumentationFramework, *, force_in: int = 0, force_out: int = 0):
-    """Some stable extension (as a mask) satisfying the constraints, or None."""
-    leaf = find_complete(af, force_in=force_in, force_out=force_out, notundec=af.all_mask)
+    """Some stable extension (as a mask) satisfying the constraints, or None.
+    No argument may end undec, so a not-in argument ends out."""
+    leaf = find_complete(af, force_in=force_in, force_notin=force_out, notundec=af.all_mask)
     return leaf[0] if leaf is not None else None
 
 
@@ -377,157 +370,6 @@ def _self_attackers(af: ArgumentationFramework) -> int:
     return m
 
 
-# -- enumeration -------------------------------------------------------------
-
-
-def _compat(af: ArgumentationFramework) -> tuple[int, list[int]]:
-    """The vertices and adjacency rows of the non-conflict graph, whose
-    maximal cliques are the naive sets: every argument but the
-    self-attackers, which can never be members, and for each argument the
-    others it neither attacks nor is attacked by."""
-    universe = af.all_mask & ~_self_attackers(af)
-    compat = [
-        universe & ~(af.attackers[i] | af.targets[i]) & ~(1 << i)
-        for i in range(af.n)
-    ]
-    return universe, compat
-
-
-def _pivot(p: int, x: int, compat: list[int]) -> int:
-    """The Bron–Kerbosch pivot: the member of p | x compatible with the most
-    candidates in p, the lowest index on ties."""
-    best_u, best_c = -1, -1
-    m = p | x
-    while m:
-        low = m & -m
-        m ^= low
-        c = (p & compat[low.bit_length() - 1]).bit_count()
-        if c > best_c:
-            best_c = c
-            best_u = low.bit_length() - 1
-    return best_u
-
-
-def _strictly_inside(bound: int, ranges) -> bool:
-    """True iff *bound* is a strict subset of some range in *ranges*."""
-    for k in ranges:
-        if bound != k and bound | k == k:
-            return True
-    return False
-
-
-def _maximal_conflict_free(af: ArgumentationFramework) -> list[tuple[int, int]]:
-    """The (set, range) pairs of the naive sets whose range is maximal among
-    naive ranges, by maximal-clique search on the non-conflict graph.
-
-    The range bound: every naive set below a node (r, p) is r plus a subset
-    of p, so its range lies inside range(r) | p | attacked_set(p).  A node
-    whose bound is a strict subset of a range already found holds no set of
-    maximal range and is skipped.  Only found ranges that contain range(r)
-    can cover the bound, so a node hands its children just those.
-
-    The search is depth first over a stack of nodes, the children of a node
-    pushed last first.  A child's candidates p and excluded x are those the
-    recursive Bron–Kerbosch call would give it: its earlier siblings m move
-    from p to x.  A child takes the ranges found below those siblings when
-    it is popped, after they are done.
-    """
-    universe, compat = _compat(af)
-    targets = af.targets
-    attacked = af.attacked_set
-    out: list[tuple[int, int]] = []
-    found: list[int] = []  # distinct leaf ranges, none inside an earlier one
-    # (r, p, x, range(r), the found ranges over the parent's range, len(found) then)
-    stack = [(0, universe, 0, 0, [], 0)]
-    while stack:
-        r, p, x, rng, over, seen = stack.pop()
-        # ranges found below earlier siblings contain the parent's range as well
-        over = [k for k in over + found[seen:] if k | rng == k]
-        if over and _strictly_inside(rng | p | attacked(p), over):
-            continue
-        if p == 0 and x == 0:
-            out.append((r, rng))
-            if rng not in over:
-                found.append(rng)
-            continue
-        seen = len(found)
-        m = p & ~compat[_pivot(p, x, compat)]
-        while m:
-            v = m.bit_length() - 1
-            low = 1 << v
-            m ^= low
-            cv = compat[v]
-            stack.append((r | low, p & ~m & cv, (x | m) & cv, rng | low | targets[v], over, seen))
-    covered = {k for i, k in enumerate(found) for j in found[i + 1:] if k | j == j}
-    return [(r, rng) for r, rng in out if rng not in covered]
-
-
-def _max_range(
-    af: ArgumentationFramework,
-    compat: list[int],
-    r: int,
-    p: int,
-    x: int,
-    known: tuple[int, ...] = (),
-    above: int | None = None,
-) -> int | None:
-    """A naive set whose range has the most arguments, among the naive sets
-    that the Bron–Kerbosch call at (r, p, x) lists, whose range lies
-    strictly inside no range in *known* and, if *above* is given, strictly
-    contains *above*; None if there is none.
-
-    (r, p, x) must be a Bron–Kerbosch node of the non-conflict graph whose
-    rows are *compat* (``_compat``): r a clique, and p | x the vertices
-    compatible with every member of r.  The search from such a node reports
-    exactly the maximal cliques C with r ⊆ C ⊆ r | p that avoid x: a clique
-    is reported once p and x are empty, that is once no vertex can extend
-    it, and a vertex in x never joins r.  The maximal cliques are the naive
-    sets.  So the root (0, universe, 0) lists every naive set,
-    ({q}, compat[q], 0) those that hold q, and (0, universe & ~{q}, {q})
-    those that leave q out.
-
-    Branch and bound, with the bound of ``_maximal_conflict_free``: every
-    naive set below a node has its range inside range(r) | p | attacked(p).
-    A node is skipped when that bound has no more arguments than the best
-    range found so far, lies strictly inside a range in *known*, or does
-    not strictly contain *above*; in each case nothing below it qualifies
-    and beats the best.  The search runs over a stack in the order of
-    ``_maximal_conflict_free``, and bounds a node when it is popped, against
-    the best found by then.
-
-    Proof sketch that, from the root, a largest qualifying range R is
-    ⊆-maximal among all naive ranges: a naive range T strictly above R
-    strictly contains *above* as well, and lies strictly inside no known
-    range, since R would then too; so T would qualify and be larger.
-    """
-    targets = af.targets
-    attacked = af.attacked_set
-    best = -1
-    best_set = None
-    stack = [(r, p, x, r | attacked(r))]
-    while stack:
-        r, p, x, rng = stack.pop()
-        bound = rng | p | attacked(p)
-        if bound.bit_count() <= best:
-            continue
-        if above is not None and (bound == above or bound | above != bound):
-            continue
-        if _strictly_inside(bound, known):
-            continue
-        if p == 0:
-            if x == 0:
-                best, best_set = rng.bit_count(), r
-            continue
-        m = p & ~compat[_pivot(p, x, compat)]
-        while m:
-            v = m.bit_length() - 1
-            low = 1 << v
-            m ^= low
-            cv = compat[v]
-            stack.append((r | low, p & ~m & cv, (x | m) & cv, rng | low | targets[v]))
-    return best_set
-
-
 def maximize_complete(af: ArgumentationFramework, e: int = 0, **kw) -> int | None:
     """A complete extension that holds *e*, meets the constraints *kw* and is
     subset-maximal among those that do, or None if none does: the first leaf
@@ -546,45 +388,47 @@ def maximize_complete(af: ArgumentationFramework, e: int = 0, **kw) -> int | Non
     return leaf[0] if leaf is not None else None
 
 
-def preferred_into(af: ArgumentationFramework, on_extension) -> None:
-    """Visit every preferred extension once, in discovery order.
+def _maximal_blocked(af: ArgumentationFramework, **kw):
+    """Yield complete extensions that meet the constraints *kw*, each one
+    maximal among those that meet kw and are no subset of an earlier one,
+    and block each (``~e & af.all_mask`` joins the in-clauses).
 
-    Each round takes an extension maximal among the complete extensions that
-    are no subset of one found so far.  A complete strict superset would be
-    no such subset either, so it is a new preferred extension.
+    Proof sketch: a complete strict superset of a yielded E that meets kw is
+    no subset of an earlier extension either, since E is none, so
+    ``maximize_complete`` would have returned it in place of E.  Every round
+    blocks a new set, so the loop ends.
     """
     blockers: list[int] = []
     while True:
-        e = maximize_complete(af, in_clauses=tuple(blockers))
+        e = maximize_complete(af, in_clauses=tuple(blockers), **kw)
         if e is None:
             return
-        on_extension(e)
+        yield e
         blockers.append(~e & af.all_mask)
+
+
+def preferred_into(af: ArgumentationFramework, on_extension) -> None:
+    """Visit every preferred extension once, in discovery order: each one
+    that ``_maximal_blocked`` yields with no constraint."""
+    for e in _maximal_blocked(af):
+        on_extension(e)
 
 
 def preferred_without(af: ArgumentationFramework, q: int) -> int | None:
     """Some preferred extension that leaves argument *q* out, or None.
 
-    Each round takes a complete extension E that is maximal among those that
-    leave q out and are no subset of a blocked set.  A complete strict
-    superset that leaves q out would be no such subset either, so E is
-    maximal among all that leave q out.  If no complete extension holds E | {q}, E is preferred: a
-    preferred P above E holds q by the maximality of E, and then P holds
-    E | {q}.  Otherwise E is not preferred and is blocked.  Proof sketch of
-    the None answer: a preferred P without q is complete and leaves q out,
-    so it is a subset of no blocked E (P would equal E, which is not
-    preferred), and the search would have found it.  Every round blocks a
-    new set, so the loop ends.
+    Each E that ``_maximal_blocked`` yields with q kept not in is maximal
+    among the complete extensions without q.  If no complete extension holds
+    E | {q}, E is preferred: a preferred P above E holds q by the maximality
+    of E, so P holds E | {q}.  Proof sketch of the None answer: a preferred
+    P without q is complete, and a subset of no yielded E (P would equal E,
+    which is not preferred), so the generator would have yielded it.
     """
     qbit = 1 << q
-    blockers: list[int] = []
-    while True:
-        e = maximize_complete(af, force_notin=qbit, in_clauses=tuple(blockers))
-        if e is None:
-            return None
+    for e in _maximal_blocked(af, force_notin=qbit):
         if find_complete(af, force_in=e | qbit) is None:
             return e
-        blockers.append(~e & af.all_mask)
+    return None
 
 
 def preferred_extensions(af: ArgumentationFramework) -> list[int]:

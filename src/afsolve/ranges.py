@@ -1,18 +1,20 @@
-"""Range maximization and all semi-stable / stage reasoning.
+"""Range maximization, all semi-stable / stage reasoning, and the clique
+searches over naive sets that stage runs.
 
 The range of a set S is S plus everything S attacks; in labelling terms it is
 in | out, so range constraints are exactly undec constraints.  Maximal ranges
-are discovered one at a time: find a complete labelling, grow its range until
-none exceeds it, record it, then block every range it covers and repeat.
-"The range escapes R" is an in-clause over complete labellings (see
-``_escape``), so growing and blocking need no constraint of their own.
+come from one blocking loop (``_maximal_ranges``): find a complete labelling,
+grow its range until none exceeds it, yield it, block every range it covers
+and repeat.  "The range escapes R" is an in-clause over complete labellings
+(``_escape``), so growing and blocking need no constraint of their own.
 Stage works on naive sets, after a stable search: if a stable extension
 exists, the stage extensions are the stable ones.  Otherwise EE-STG and
-CE-STG list them with a naive-set search that skips subtrees of covered
-range (``_stage_pairs``), while SE-STG, DC-STG and DS-STG list none: a
-branch and bound for the largest naive range (``kernel._max_range``) gives
-one stage extension (``some_stage``), and a loop of such searches decides a
-query (``decide_stage``).
+CE-STG list them with a clique search that skips subtrees of covered range
+(``_stage_pairs``), while SE-STG, DC-STG and DS-STG list none: a branch and
+bound for the largest naive range (``_max_range``) gives one stage extension
+(``some_stage``), and a loop of such searches decides a query
+(``decide_stage``).  Both clique searches run over explicit stacks of nodes,
+so they never set the recursion limit or any other interpreter state.
 
 Each semantics has its own entry points, one per question the task layer
 asks: semi-stable ``some_semi_stable``, ``semi_stable_all`` and
@@ -20,21 +22,10 @@ asks: semi-stable ``some_semi_stable``, ``semi_stable_all`` and
 ``max_ranges`` lists the maximal semi-stable ranges, one witness each.
 """
 
-from dataclasses import dataclass
-
 from .framework import ArgumentationFramework, canonical_key
 # the searches are looked up on the module at call time, so a wrapper
 # installed on kernel.find_complete (perfbench's tracer) sees them
 from . import kernel
-from .kernel import _compat, _max_range, _maximal_conflict_free
-
-
-@dataclass(frozen=True)
-class RangeWitness:
-    """One subset-maximal range plus a single complete extension achieving it."""
-
-    range_mask: int
-    witness: int
 
 
 def range_of(af: ArgumentationFramework, s: int) -> int:
@@ -70,26 +61,182 @@ def _grow_range(af: ArgumentationFramework, witness: int, rng: int, **kw):
         rng = leaf[0] | leaf[1]
 
 
-def max_ranges(af: ArgumentationFramework) -> list[RangeWitness]:
-    """One complete-extension witness per subset-maximal range of a complete
-    labelling, in canonical range order: the semi-stable ranges.
-
-    Witnesses of distinct entries achieve incomparable ranges; every
-    achievable range is covered by some entry.  The ranges are discovered
-    one at a time: find a complete labelling whose range escapes everything
-    recorded, maximize it, block it, repeat.
+def _maximal_ranges(af: ArgumentationFramework, **kw):
+    """Yield (witness, range) for the maximal ranges of the complete
+    labellings that meet the constraints *kw*.  Each round finds such a
+    labelling whose range escapes every range yielded so far, grows it to
+    be maximal among them (``_grow_range``), yields it and blocks it.  So
+    the ranges yielded are incomparable, and each range of a labelling that
+    meets kw lies inside one.  Every round blocks a new range, so the loop
+    ends.
     """
-    found: list[RangeWitness] = []
     blockers: list[int] = []
     while True:
-        leaf = kernel.find_complete(af, in_clauses=tuple(blockers))
+        leaf = kernel.find_complete(af, in_clauses=tuple(blockers), **kw)
         if leaf is None:
-            break
-        witness, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1])
-        found.append(RangeWitness(rng, witness))
+            return
+        witness, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1], **kw)
+        yield witness, rng
         blockers.append(_escape(af, rng))
-    found.sort(key=lambda rw: canonical_key(rw.range_mask, af.n))
+
+
+def max_ranges(af: ArgumentationFramework) -> list[tuple[int, int]]:
+    """(range, witness) for each subset-maximal range of a complete
+    labelling, in canonical range order: the semi-stable ranges."""
+    found = [(rng, witness) for witness, rng in _maximal_ranges(af)]
+    found.sort(key=lambda pair: canonical_key(pair[0], af.n))
     return found
+
+
+# -- clique searches over naive sets ------------------------------------------
+
+
+def _compat(af: ArgumentationFramework) -> tuple[int, list[int]]:
+    """The vertices and adjacency rows of the non-conflict graph, whose
+    maximal cliques are the naive sets: every argument but the
+    self-attackers, which can never be members, and for each argument the
+    others it neither attacks nor is attacked by."""
+    universe = af.all_mask & ~kernel._self_attackers(af)
+    compat = [
+        universe & ~(af.attackers[i] | af.targets[i]) & ~(1 << i)
+        for i in range(af.n)
+    ]
+    return universe, compat
+
+
+def _pivot(p: int, x: int, compat: list[int]) -> int:
+    """The Bron–Kerbosch pivot: the member of p | x compatible with the most
+    candidates in p, the lowest index on ties."""
+    best_u, best_c = -1, -1
+    m = p | x
+    while m:
+        low = m & -m
+        m ^= low
+        c = (p & compat[low.bit_length() - 1]).bit_count()
+        if c > best_c:
+            best_c = c
+            best_u = low.bit_length() - 1
+    return best_u
+
+
+def _strictly_inside(bound: int, ranges) -> bool:
+    """True iff *bound* is a strict subset of some range in *ranges*."""
+    for k in ranges:
+        if bound != k and bound | k == k:
+            return True
+    return False
+
+
+def _maximal_conflict_free(af: ArgumentationFramework) -> list[tuple[int, int]]:
+    """The (set, range) pairs of the naive sets whose range is maximal among
+    naive ranges, by maximal-clique search on the non-conflict graph.
+
+    The range bound: every naive set below a node (r, p) is r plus a subset
+    of p, so its range lies inside range(r) | p | attacked_set(p).  A node
+    whose bound is a strict subset of a range already found holds no set of
+    maximal range and is skipped.  Only found ranges that contain range(r)
+    can cover the bound, so a node hands its children just those.
+
+    The search is depth first over a stack of nodes, the children of a node
+    pushed last first.  A child's candidates p and excluded x are those the
+    recursive Bron–Kerbosch call would give it: its earlier siblings m move
+    from p to x.  A child takes the ranges found below those siblings when
+    it is popped, after they are done.
+    """
+    universe, compat = _compat(af)
+    targets = af.targets
+    attacked = af.attacked_set
+    out: list[tuple[int, int]] = []
+    found: list[int] = []  # distinct leaf ranges, none inside an earlier one
+    # (r, p, x, range(r), the found ranges over the parent's range, len(found) then)
+    stack = [(0, universe, 0, 0, [], 0)]
+    while stack:
+        r, p, x, rng, over, seen = stack.pop()
+        # ranges found below earlier siblings contain the parent's range as well
+        over = [k for k in over + found[seen:] if k | rng == k]
+        if over and _strictly_inside(rng | p | attacked(p), over):
+            continue
+        if p == 0 and x == 0:
+            out.append((r, rng))
+            if rng not in over:
+                found.append(rng)
+            continue
+        seen = len(found)
+        m = p & ~compat[_pivot(p, x, compat)]
+        while m:
+            v = m.bit_length() - 1
+            low = 1 << v
+            m ^= low
+            cv = compat[v]
+            stack.append((r | low, p & ~m & cv, (x | m) & cv, rng | low | targets[v], over, seen))
+    covered = {k for i, k in enumerate(found) for j in found[i + 1:] if k | j == j}
+    return [(r, rng) for r, rng in out if rng not in covered]
+
+
+def _max_range(
+    af: ArgumentationFramework,
+    compat: list[int],
+    r: int,
+    p: int,
+    x: int,
+    known: tuple[int, ...] = (),
+    above: int | None = None,
+) -> int | None:
+    """A naive set whose range has the most arguments, among the naive sets
+    that the Bron–Kerbosch call at (r, p, x) lists, whose range lies
+    strictly inside no range in *known* and, if *above* is given, strictly
+    contains *above*; None if there is none.
+
+    (r, p, x) must be a Bron–Kerbosch node of the non-conflict graph whose
+    rows are *compat* (``_compat``): r a clique, and p | x the vertices
+    compatible with every member of r.  The search from such a node reports
+    exactly the maximal cliques C with r ⊆ C ⊆ r | p that avoid x: a clique
+    is reported once p and x are empty, that is once no vertex can extend
+    it, and a vertex in x never joins r.  The maximal cliques are the naive
+    sets.  So the root (0, universe, 0) lists every naive set,
+    ({q}, compat[q], 0) those that hold q, and (0, universe & ~{q}, {q})
+    those that leave q out.
+
+    Branch and bound, with the bound of ``_maximal_conflict_free``: every
+    naive set below a node has its range inside range(r) | p | attacked(p).
+    A node is skipped when that bound has no more arguments than the best
+    range found so far, lies strictly inside a range in *known*, or does
+    not strictly contain *above*; in each case nothing below it qualifies
+    and beats the best.  The search runs over a stack in the order of
+    ``_maximal_conflict_free``, and bounds a node when it is popped, against
+    the best found by then.
+
+    Proof sketch that, from the root, a largest qualifying range R is
+    ⊆-maximal among all naive ranges: a naive range T strictly above R
+    strictly contains *above* as well, and lies strictly inside no known
+    range, since R would then too; so T would qualify and be larger.
+    """
+    targets = af.targets
+    attacked = af.attacked_set
+    best = -1
+    best_set = None
+    stack = [(r, p, x, r | attacked(r))]
+    while stack:
+        r, p, x, rng = stack.pop()
+        bound = rng | p | attacked(p)
+        if bound.bit_count() <= best:
+            continue
+        if above is not None and (bound == above or bound | above != bound):
+            continue
+        if _strictly_inside(bound, known):
+            continue
+        if p == 0:
+            if x == 0:
+                best, best_set = rng.bit_count(), r
+            continue
+        m = p & ~compat[_pivot(p, x, compat)]
+        while m:
+            v = m.bit_length() - 1
+            low = 1 << v
+            m ^= low
+            cv = compat[v]
+            stack.append((r | low, p & ~m & cv, (x | m) & cv, rng | low | targets[v]))
+    return best_set
 
 
 def _stage_pairs(af: ArgumentationFramework) -> list[tuple[int, int]]:
@@ -116,10 +263,8 @@ def _stage_pairs(af: ArgumentationFramework) -> list[tuple[int, int]]:
 def some_semi_stable(af: ArgumentationFramework) -> int:
     """A semi-stable extension: the witness of a complete labelling's range,
     grown until it is maximal."""
-    leaf = kernel.find_complete(af)
-    assert leaf is not None  # the grounded labelling always exists
-    witness, _ = _grow_range(af, leaf[0], leaf[0] | leaf[1])
-    return witness
+    # the grounded labelling always exists, so there is a first round
+    return next(_maximal_ranges(af))[0]
 
 
 def some_stage(af: ArgumentationFramework) -> int:
@@ -220,26 +365,18 @@ def decide_range(af: ArgumentationFramework, credulous: bool, q: int) -> bool:
     argument *q*.
 
     A counterexample-guided loop that keeps q in (credulous) or not in
-    (skeptical), as ``decide_stage`` does over naive sets.  Each round finds
-    a complete labelling that meets that constraint and whose range is not a
-    subset of a blocked range, and grows its range R to be maximal among the
-    labellings that meet it.  If no complete labelling has a range strictly
-    above R, R is maximal among all complete ranges, so the labelling is
-    semi-stable and decides the query: YES for credulous, NO for skeptical.
-    Otherwise every range that is a subset of R is blocked and the loop
-    repeats.  Proof sketch of the other answer: a semi-stable labelling that
-    meets the constraint has a maximal range, which is no subset of a
-    blocked R (it would equal R, which has a strict superset), so the search
-    would have found it.  Every round blocks a new range, so the loop ends.
+    (skeptical), as ``decide_stage`` does over naive sets.  Each range R
+    that ``_maximal_ranges`` yields under that constraint is maximal among
+    the labellings that meet it.  If no complete labelling has a range
+    strictly above R, R is maximal among all complete ranges, so its witness
+    is semi-stable and decides the query.  Proof sketch of the other answer:
+    a semi-stable labelling that meets the constraint has a maximal range,
+    which is no subset of a yielded R (it would equal R, which has a strict
+    superset), so the generator would have yielded it.
     """
     qbit = 1 << q
     keep = {"force_in": qbit} if credulous else {"force_notin": qbit}
-    blockers: list[int] = []
-    while True:
-        leaf = kernel.find_complete(af, in_clauses=tuple(blockers), **keep)
-        if leaf is None:
-            return not credulous
-        _, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1], **keep)
+    for _, rng in _maximal_ranges(af, **keep):
         if _wider(af, rng) is None:
             return credulous
-        blockers.append(_escape(af, rng))
+    return not credulous

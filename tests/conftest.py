@@ -5,8 +5,9 @@ import sys
 import pytest
 
 from afsolve import ArgumentationFramework
-from afsolve.framework import bits
-from afsolve.kernel import _self_attackers, find_complete
+from afsolve.framework import bits, canonical_key
+from afsolve.kernel import _self_attackers, find_complete, maximize_complete
+from afsolve.ranges import _escape, _grow_range, _wider
 
 ACCEPTANCE_LINES = []
 
@@ -49,6 +50,22 @@ def all_three_arg_frameworks():
 
 def names_set(af, masks):
     return {tuple(af.names_of(m)) for m in masks}
+
+
+def mask_of(af: ArgumentationFramework, names) -> int:
+    """The bitmask of the arguments called *names*."""
+    m = 0
+    for name in names:
+        m |= 1 << af.index_of(name)
+    return m
+
+
+def to_apx(af: ArgumentationFramework) -> str:
+    """The framework as apx text: its arg facts in index order, then its att
+    facts by attacker and target."""
+    lines = [f"arg({name})." for name in af.names]
+    lines += [f"att({af.names[a]},{af.names[b]})." for a, b in af.attacks]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def naive_sets_unbounded(af):
@@ -108,6 +125,78 @@ def restrict_by_attack_filter(af: ArgumentationFramework, s: int) -> Argumentati
     sub_index = {old: new for new, old in enumerate(kept)}
     pairs = [(sub_index[a], sub_index[b]) for a, b in af.attacks if (s >> a) & 1 and (s >> b) & 1]
     return ArgumentationFramework([af.names[old] for old in kept], pairs)
+
+
+# -- the blocking loops as they were written before the generators -----------
+# (kernel._maximal_blocked and ranges._maximal_ranges); each returns what the
+# replaced function returned, and lists in discovery order where it listed
+
+
+def preferred_by_blocking(af: ArgumentationFramework) -> list[int]:
+    """The replaced ``preferred_into``: every preferred extension, in
+    discovery order."""
+    found: list[int] = []
+    blockers: list[int] = []
+    while True:
+        e = maximize_complete(af, in_clauses=tuple(blockers))
+        if e is None:
+            return found
+        found.append(e)
+        blockers.append(~e & af.all_mask)
+
+
+def preferred_without_by_blocking(af: ArgumentationFramework, q: int):
+    """The replaced ``preferred_without``."""
+    qbit = 1 << q
+    blockers: list[int] = []
+    while True:
+        e = maximize_complete(af, force_notin=qbit, in_clauses=tuple(blockers))
+        if e is None:
+            return None
+        if find_complete(af, force_in=e | qbit) is None:
+            return e
+        blockers.append(~e & af.all_mask)
+
+
+def ranges_by_blocking(af: ArgumentationFramework) -> list[tuple[int, int]]:
+    """The replaced ``max_ranges`` loop before its sort: (range, witness)
+    per maximal range, in discovery order."""
+    found: list[tuple[int, int]] = []
+    blockers: list[int] = []
+    while True:
+        leaf = find_complete(af, in_clauses=tuple(blockers))
+        if leaf is None:
+            return found
+        witness, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1])
+        found.append((rng, witness))
+        blockers.append(_escape(af, rng))
+
+
+def max_ranges_by_blocking(af: ArgumentationFramework) -> list[tuple[int, int]]:
+    """The replaced ``max_ranges``: in canonical range order."""
+    return sorted(ranges_by_blocking(af), key=lambda pair: canonical_key(pair[0], af.n))
+
+
+def decide_range_by_blocking(af: ArgumentationFramework, credulous: bool, q: int) -> bool:
+    """The replaced ``decide_range``."""
+    qbit = 1 << q
+    keep = {"force_in": qbit} if credulous else {"force_notin": qbit}
+    blockers: list[int] = []
+    while True:
+        leaf = find_complete(af, in_clauses=tuple(blockers), **keep)
+        if leaf is None:
+            return not credulous
+        _, rng = _grow_range(af, leaf[0], leaf[0] | leaf[1], **keep)
+        if _wider(af, rng) is None:
+            return credulous
+        blockers.append(_escape(af, rng))
+
+
+def some_semi_stable_by_growth(af: ArgumentationFramework) -> int:
+    """The replaced ``some_semi_stable``: the first round of the loop."""
+    leaf = find_complete(af)
+    witness, _ = _grow_range(af, leaf[0], leaf[0] | leaf[1])
+    return witness
 
 
 # -- definitional checkers, keyed by the oracle's semantics codes -------------

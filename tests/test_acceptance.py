@@ -16,7 +16,7 @@ from afsolve.cli import main
 from afsolve.ideal import ideal_extension
 from afsolve.kernel import complete_extensions, grounded, preferred_extensions
 from afsolve.ranges import semi_stable_all, stage_all
-from conftest import all_three_arg_frameworks, naive_sets_unbounded, random_af
+from conftest import all_three_arg_frameworks, naive_sets_unbounded, random_af, to_apx
 
 FIG = "arg(a). arg(b). att(a,b).\n"
 
@@ -161,7 +161,7 @@ def test_criterion_6_determinism(tmp_path, capsys):
         ("cycle", "arg(a). arg(b). arg(c). att(a,b). att(b,c). att(c,a).\n"),
     ]
     for label, n, p in (("r12", 12, 0.2), ("r18", 18, 0.15), ("r25", 25, 0.1)):
-        instances.append((label, random_af(rng, n, p).to_apx()))
+        instances.append((label, to_apx(random_af(rng, n, p))))
     for label, text in instances:
         path = tmp_path / f"{label}.apx"
         path.write_text(text)

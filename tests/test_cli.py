@@ -7,7 +7,7 @@ import pytest
 
 from afsolve import PROBLEMS, SolveResult, Task, parse_apx
 from afsolve.cli import format_output, main
-from conftest import random_af
+from conftest import random_af, to_apx
 
 FIG = "arg(a). arg(b). att(a,b).\n"
 
@@ -107,7 +107,7 @@ def test_oracle_backend_agrees_with_the_search(tmp_path, capsys):
     for k in range(12):
         af = random_af(rng, rng.randint(1, 8), rng.choice([0.15, 0.3, 0.5]))
         path = tmp_path / f"af{k}.apx"
-        path.write_text(af.to_apx())
+        path.write_text(to_apx(af))
         query = af.names[rng.randrange(af.n)]
         for problem in PROBLEMS:
             argv = ["-p", problem, "-f", str(path), "-fo", "apx"]

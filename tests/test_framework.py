@@ -17,7 +17,7 @@ from afsolve import (
 )
 from afsolve import framework
 from afsolve.framework import bits, canonical_key
-from conftest import build, random_af, restrict_by_attack_filter
+from conftest import build, mask_of, random_af, restrict_by_attack_filter, to_apx
 from test_fuzz import SEEDS, mutate
 
 
@@ -121,15 +121,15 @@ def test_roundtrip_random():
     rng = random.Random(4)
     for _ in range(100):
         af = random_af(rng, rng.randint(0, 9), rng.choice([0.1, 0.3, 0.6]))
-        assert parse_apx(af.to_apx()) == af
+        assert parse_apx(to_apx(af)) == af
 
 
 def test_attacked_set():
     af = build(["a", "b"], [("a", "b")])
-    assert af.attacked_set(af.mask_of(["a"])) == af.mask_of(["b"])
+    assert af.attacked_set(mask_of(af, ["a"])) == mask_of(af, ["b"])
     assert af.attacked_set(0) == 0
     cyc = build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
-    assert cyc.attacked_set(cyc.mask_of(["a", "c"])) == cyc.mask_of(["a", "b"])
+    assert cyc.attacked_set(mask_of(cyc, ["a", "c"])) == mask_of(cyc, ["a", "b"])
 
 
 def test_attacked_set_distributes_over_union():
@@ -143,10 +143,10 @@ def test_attacked_set_distributes_over_union():
 
 def test_reverse_reachable():
     af = build(["a", "b"], [("a", "b")])
-    assert af.reverse_reachable(af.index_of("b")) == af.mask_of(["a", "b"])
-    assert af.reverse_reachable(af.index_of("a")) == af.mask_of(["a"])
+    assert af.reverse_reachable(af.index_of("b")) == mask_of(af, ["a", "b"])
+    assert af.reverse_reachable(af.index_of("a")) == mask_of(af, ["a"])
     chain = build(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
-    assert chain.reverse_reachable(chain.index_of("c")) == chain.mask_of(["a", "b", "c"])
+    assert chain.reverse_reachable(chain.index_of("c")) == mask_of(chain, ["a", "b", "c"])
 
 
 def test_reverse_reachable_contains_query():
@@ -177,14 +177,14 @@ def test_reverse_reachable_matches_transitive_closure():
 def test_restrict():
     af = build(["a", "b"], [("a", "b")])
     assert af.restrict(af.all_mask) is af  # frameworks are immutable: no copy
-    only_b = af.restrict(af.mask_of(["b"]))
+    only_b = af.restrict(mask_of(af, ["b"]))
     assert only_b.names == ("b",)
     assert only_b.attacks == ()
     cyc = build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
-    sub = cyc.restrict(cyc.mask_of(["a", "b"]))
+    sub = cyc.restrict(mask_of(cyc, ["a", "b"]))
     assert sub.names == ("a", "b")
     assert sub.attacks == ((0, 1),)
-    sub = cyc.restrict(cyc.mask_of(["b", "c"]))
+    sub = cyc.restrict(mask_of(cyc, ["b", "c"]))
     assert sub.names == ("b", "c")
     assert sub.attacks == ((0, 1),)
 
@@ -232,8 +232,10 @@ def test_adjacency_is_transpose_consistent():
 def test_build_rejects_bad_input():
     with pytest.raises(UndeclaredArgumentError):
         ArgumentationFramework.build(["a"], [("a", "zzz")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate argument name 'a'$"):
         ArgumentationFramework(["a", "a"], [])
+    with pytest.raises(EmptyNameError):
+        ArgumentationFramework([""], [])
     with pytest.raises(ValueError):
         ArgumentationFramework(["a"], [(0, 3)])
 
@@ -386,7 +388,7 @@ TOKEN = re.compile(r"[(),.]|[^(),.\n]+")
 def _decorated_apx(rng, af):
     """*af* as apx text with random blanks and comments between its tokens."""
     out = [rng.choice(BLANKS)]
-    for token in TOKEN.findall(af.to_apx()):
+    for token in TOKEN.findall(to_apx(af)):
         out += [token, rng.choice(BLANKS)]
     if rng.random() < 0.3:
         out.append("% comment at the end without a newline")

@@ -3,7 +3,7 @@ import random
 from afsolve import ArgumentationFramework, TaskSpec, oracle_extensions, solve
 from afsolve.ideal import credulous_profile, ideal_extension
 from afsolve.kernel import complete_extensions, find_complete, grounded, preferred_extensions
-from conftest import all_three_arg_frameworks, build, is_extension, random_af
+from conftest import all_three_arg_frameworks, build, is_extension, mask_of, random_af
 
 
 def shrink_to_defended(af, x):
@@ -38,15 +38,15 @@ def per_argument_ideal(af):
 
 def test_credulous_profile_examples():
     mutual = build(["a", "b"], [("a", "b"), ("b", "a")])
-    for p in (mutual.mask_of(["a"]), mutual.mask_of(["b"])):
+    for p in (mask_of(mutual, ["a"]), mask_of(mutual, ["b"])):
         assert credulous_profile(mutual, p) == p
     ab = build(["a", "b"], [("a", "b")])
-    assert credulous_profile(ab, ab.mask_of(["a"])) == 0
+    assert credulous_profile(ab, mask_of(ab, ["a"])) == 0
     empty = build([], [])
     assert credulous_profile(empty, 0) == 0
     # c is attacked only by the self-attacker s, which no complete extension holds
     guarded = build(["s", "c"], [("s", "s"), ("s", "c"), ("c", "s")])
-    assert credulous_profile(guarded, guarded.mask_of(["c"])) == 0
+    assert credulous_profile(guarded, mask_of(guarded, ["c"])) == 0
 
 
 def test_credulous_profile_is_union_of_complete():
@@ -64,7 +64,7 @@ def test_ideal_examples():
     mutual = build(["a", "b"], [("a", "b"), ("b", "a")])
     assert ideal_extension(mutual) == 0
     ab = build(["a", "b"], [("a", "b")])
-    assert ideal_extension(ab) == ab.mask_of(["a"])
+    assert ideal_extension(ab) == mask_of(ab, ["a"])
     # mutual pair attacking c, c attacks d: intersection of preferred is {d},
     # but {d} cannot defend itself, so the ideal extension is empty
     diamond = build(

@@ -8,7 +8,6 @@ from afsolve import ArgumentationFramework, TaskSpec, oracle_extensions, solve
 from afsolve.framework import bits, canonical_key
 from afsolve.kernel import (
     _Search,
-    _maximal_conflict_free,
     _self_attackers,
     complete_extensions,
     count_complete,
@@ -18,6 +17,7 @@ from afsolve.kernel import (
     maximize_complete,
     preferred_extensions,
 )
+from afsolve.ranges import _maximal_conflict_free
 from conftest import (
     all_three_arg_frameworks,
     build,
@@ -26,6 +26,7 @@ from conftest import (
     grounded_by_attack_lists,
     is_conflict_free,
     is_extension,
+    mask_of,
     naive_sets_unbounded,
     random_af,
 )
@@ -47,15 +48,15 @@ _ORACLE_CODE = {
 
 def test_is_conflict_free():
     af = build(["a", "b"], [("a", "b")])
-    assert not is_conflict_free(af, af.mask_of(["a", "b"]))
+    assert not is_conflict_free(af, mask_of(af, ["a", "b"]))
     assert is_conflict_free(af, 0)
     loop = build(["a"], [("a", "a")])
-    assert not is_conflict_free(loop, loop.mask_of(["a"]))
+    assert not is_conflict_free(loop, mask_of(loop, ["a"]))
 
 
 def test_defends():
     chain = build(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert defends(chain, chain.mask_of(["a"]), chain.index_of("c"))
+    assert defends(chain, mask_of(chain, ["a"]), chain.index_of("c"))
     assert defends(chain, 0, chain.index_of("a"))
     ab = build(["a", "b"], [("a", "b")])
     assert not defends(ab, 0, ab.index_of("b"))
@@ -67,7 +68,7 @@ def test_characteristic():
     empty = build([], [])
     assert characteristic(empty, 0) == 0
     chain = build(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert chain.names_of(characteristic(chain, chain.mask_of(["a"]))) == ["a", "c"]
+    assert chain.names_of(characteristic(chain, mask_of(chain, ["a"]))) == ["a", "c"]
 
 
 def test_grounded():
@@ -122,7 +123,7 @@ def test_grounded_on_a_long_chain():
 
 def test_is_extension_examples():
     ab = build(["a", "b"], [("a", "b")])
-    assert is_extension(ab, ab.mask_of(["a"]), "CO")
+    assert is_extension(ab, mask_of(ab, ["a"]), "CO")
     cyc = build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
     assert is_extension(cyc, 0, "PR")
     assert not is_extension(cyc, 0, "ST")
@@ -130,11 +131,11 @@ def test_is_extension_examples():
 
 def test_enumerate_examples():
     ab = build(["a", "b"], [("a", "b")])
-    assert complete_extensions(ab) == [ab.mask_of(["a"])]
+    assert complete_extensions(ab) == [mask_of(ab, ["a"])]
     mutual = build(["a", "b"], [("a", "b"), ("b", "a")])
     assert set(preferred_extensions(mutual)) == {
-        mutual.mask_of(["a"]),
-        mutual.mask_of(["b"]),
+        mask_of(mutual, ["a"]),
+        mask_of(mutual, ["b"]),
     }
     empty = build([], [])
     assert stable_extensions(empty) == [0]
@@ -236,6 +237,7 @@ def test_find_complete_and_stable_respect_constraints():
         af = random_af(rng, rng.randint(1, 7), 0.3)
         complete = set(complete_extensions(af))
         stable = set(stable_extensions(af))
+        oracle_stable = oracle_extensions(af, "ST")
         for q in range(af.n):
             leaf = find_complete(af, force_in=1 << q)
             if any((e >> q) & 1 for e in complete):
@@ -245,6 +247,12 @@ def test_find_complete_and_stable_respect_constraints():
             st = find_stable(af, force_in=1 << q)
             if any((e >> q) & 1 for e in stable):
                 assert st is not None and (st >> q) & 1 and st in stable
+            else:
+                assert st is None
+            # force_out runs as force_notin: with no undec allowed, not in is out
+            st = find_stable(af, force_out=1 << q)
+            if any(not (e >> q) & 1 for e in oracle_stable):
+                assert st is not None and not (st >> q) & 1 and st in oracle_stable
             else:
                 assert st is None
 
@@ -362,15 +370,15 @@ def test_searches_restore_the_recursion_limit(fixed_recursion_limit):
     """Deep searches run within the default recursion limit and never set it."""
     before = sys.getrecursionlimit()
     chain = ArgumentationFramework([f"a{i}" for i in range(2000)], [(i, i + 1) for i in range(1999)])
-    assert solve(chain, TaskSpec.from_problem("SE-PR")).extension == chain.mask_of(chain.names[::2])
+    assert solve(chain, TaskSpec.from_problem("SE-PR")).extension == mask_of(chain, chain.names[::2])
     assert sys.getrecursionlimit() == before
     free = ArgumentationFramework([f"a{i}" for i in range(500)], [])
     assert _maximal_conflict_free(free) == [(free.all_mask, free.all_mask)]
     assert sys.getrecursionlimit() == before
     # root propagation settles a chain; 2000 independent cycles take 2000 decisions
     cycles = _two_cycles(2000)
-    assert solve(cycles, TaskSpec.from_problem("SE-PR")).extension == cycles.mask_of(cycles.names[::2])
-    assert solve(cycles, TaskSpec.from_problem("SE-ST")).extension == cycles.mask_of(cycles.names[1::2])
+    assert solve(cycles, TaskSpec.from_problem("SE-PR")).extension == mask_of(cycles, cycles.names[::2])
+    assert solve(cycles, TaskSpec.from_problem("SE-ST")).extension == mask_of(cycles, cycles.names[1::2])
     assert sys.getrecursionlimit() == before
 
 
@@ -613,8 +621,6 @@ class _QueueSearch(_Search):
         queue = []
         for i in bits(self.force_in):
             queue.append((_IN, 1 << i))
-        for i in bits(self.force_out):
-            queue.append((_OUT, 1 << i))
         for i in bits(self.force_notin | _self_attackers(self.af)):
             queue.append((_NI, 1 << i))
         state = self._checked((0, 0, 0, 0, self.in_clauses), queue, self.all if self.closure else 0)
@@ -648,8 +654,8 @@ def test_mask_propagation_matches_the_tuple_queue():
                 kw = {"find_first": rng.random() < 0.5}
                 if constrained:
                     kw.update(
-                        force_in=some(n, 0.03), force_out=some(n, 0.03),
-                        force_notin=some(n, 0.05), notundec=some(n, rng.choice([0.1, 0.5])),
+                        force_in=some(n, 0.03), force_notin=some(n, 0.05),
+                        notundec=some(n, rng.choice([0.1, 0.5])),
                         in_clauses=tuple(some(n, 0.2) for _ in range(rng.randint(0, 3))),
                     )
                 if stable:

@@ -6,9 +6,25 @@ import random
 
 from afsolve import ArgumentationFramework, Semantics, Task, TaskSpec, oracle_extensions, solve
 from afsolve.ideal import ideal_extension
-from afsolve.kernel import find_complete, grounded, preferred_extensions
-from afsolve.ranges import max_ranges
-from conftest import build, random_af
+from afsolve.kernel import (
+    _self_attackers,
+    find_complete,
+    grounded,
+    preferred_extensions,
+    preferred_into,
+    preferred_without,
+)
+from afsolve.ranges import _maximal_ranges, decide_range, max_ranges, some_semi_stable
+from conftest import (
+    build,
+    decide_range_by_blocking,
+    max_ranges_by_blocking,
+    preferred_by_blocking,
+    preferred_without_by_blocking,
+    random_af,
+    ranges_by_blocking,
+    some_semi_stable_by_growth,
+)
 
 SEMANTICS = (Semantics.PR, Semantics.SST, Semantics.ID)
 
@@ -29,13 +45,13 @@ def semi_stable_by_max_ranges(af, credulous, q, found):
     (skeptical) the query.  A complete range that holds a maximal range is
     that range, so notundec alone pins it."""
     qbit = 1 << q
-    for rw in found:
-        if not rw.range_mask & qbit:
+    for rng, _ in found:
+        if not rng & qbit:
             if credulous:
                 continue
             return False
         constraint = {"force_in": qbit} if credulous else {"force_notin": qbit}
-        if find_complete(af, notundec=rw.range_mask, **constraint) is not None:
+        if find_complete(af, notundec=rng, **constraint) is not None:
             return credulous
     return not credulous
 
@@ -71,6 +87,30 @@ def test_queries_match_replaced_paths():
                 (Task.DS, Semantics.ID): bool((ideal >> q) & 1),
             }
             assert verdicts(af, q) == expected, (af.attacks, q)
+
+
+def test_blocking_generators_match_the_replaced_loops():
+    """Every function built on kernel._maximal_blocked or
+    ranges._maximal_ranges gives what the hand-written loop it replaced gave
+    (conftest), and the generators find in the same order."""
+    rng = random.Random(2626)
+    self_attacked = 0
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        af = random_af(rng, n, rng.choice([1.5, 3.0, 5.0]) / n)
+        self_attacked += _self_attackers(af) != 0
+        found = []
+        preferred_into(af, found.append)
+        assert found == preferred_by_blocking(af), af.attacks
+        assert [(r, w) for w, r in _maximal_ranges(af)] == ranges_by_blocking(af), af.attacks
+        assert max_ranges(af) == max_ranges_by_blocking(af), af.attacks
+        assert some_semi_stable(af) == some_semi_stable_by_growth(af), af.attacks
+        for q in range(n):
+            assert preferred_without(af, q) == preferred_without_by_blocking(af, q), (af.attacks, q)
+            for credulous in (True, False):
+                want = decide_range_by_blocking(af, credulous, q)
+                assert decide_range(af, credulous, q) == want, (af.attacks, q, credulous)
+    assert self_attacked > 30
 
 
 def test_loops_decide_accepted_queries():

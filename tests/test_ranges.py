@@ -19,6 +19,7 @@ from conftest import (
     all_three_arg_frameworks,
     build,
     is_extension,
+    mask_of,
     names_set,
     naive_sets_unbounded,
     random_af,
@@ -27,18 +28,17 @@ from conftest import (
 
 def test_range_of():
     ab = build(["a", "b"], [("a", "b")])
-    assert ab.names_of(range_of(ab, ab.mask_of(["a"]))) == ["a", "b"]
+    assert ab.names_of(range_of(ab, mask_of(ab, ["a"]))) == ["a", "b"]
     assert range_of(ab, 0) == 0
     cyc = build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
-    assert cyc.names_of(range_of(cyc, cyc.mask_of(["a"]))) == ["a", "b"]
+    assert cyc.names_of(range_of(cyc, mask_of(cyc, ["a"]))) == ["a", "b"]
 
 
 def test_max_ranges_single_attack():
     af = build(["a", "b"], [("a", "b")])
     witnesses = max_ranges(af)
     assert len(witnesses) == 1
-    assert witnesses[0].range_mask == af.all_mask
-    assert witnesses[0].witness == af.mask_of(["a"])
+    assert witnesses[0] == (af.all_mask, mask_of(af, ["a"]))
 
 
 def test_max_ranges_self_attacker_naive():
@@ -53,14 +53,14 @@ def test_max_ranges_mutual_attack_collapses_to_one():
     af = build(["a", "b"], [("a", "b"), ("b", "a")])
     witnesses = max_ranges(af)
     assert len(witnesses) == 1
-    assert witnesses[0].range_mask == af.all_mask
+    assert witnesses[0][0] == af.all_mask
 
 
 def test_max_ranges_properties():
     rng = random.Random(808)
     for _ in range(120):
         af = random_af(rng, rng.randint(1, 7), rng.choice([0.15, 0.4]))
-        semi_stable = [(w.witness, w.range_mask) for w in max_ranges(af)]
+        semi_stable = [(witness, r) for r, witness in max_ranges(af)]
         for pairs, code in ((semi_stable, "CO"), (_stage_pairs(af), "CF")):
             ranges = list(dict.fromkeys(r for _, r in pairs))
             # pairwise incomparable
@@ -79,7 +79,7 @@ def test_max_ranges_properties():
 
 def test_some_range_extension_examples():
     ab = build(["a", "b"], [("a", "b")])
-    assert some_semi_stable(ab) == ab.mask_of(["a"])
+    assert some_semi_stable(ab) == mask_of(ab, ["a"])
     loop = build(["a"], [("a", "a")])
     assert some_stage(loop) == 0
     empty = build([], [])
@@ -99,7 +99,7 @@ def test_stage_examples():
     cyc = build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
     assert names_set(cyc, stage_all(cyc)) == {("a",), ("b",), ("c",)}
     ab = build(["a", "b"], [("a", "b")])
-    assert stage_all(ab) == [ab.mask_of(["a"])]
+    assert stage_all(ab) == [mask_of(ab, ["a"])]
     empty = build([], [])
     assert stage_all(empty) == [0]
 
@@ -268,7 +268,7 @@ def test_stage_on_long_chains_restores_the_recursion_limit(fixed_recursion_limit
     and never sets it."""
     before = sys.getrecursionlimit()
     chain = ArgumentationFramework([f"a{i}" for i in range(2000)], [(i, i + 1) for i in range(1999)])
-    alternating = chain.mask_of(chain.names[::2])
+    alternating = mask_of(chain, chain.names[::2])
     assert solve(chain, TaskSpec(Task.SE, Semantics.STG)).extension == alternating
     assert solve(chain, TaskSpec(Task.EE, Semantics.STG)).extensions == (alternating,)
     assert solve(chain, TaskSpec(Task.CE, Semantics.STG)).count == 1
@@ -280,7 +280,7 @@ def test_stage_on_long_chains_restores_the_recursion_limit(fixed_recursion_limit
     attacks = [(i, i + 1) for i in range(999)] + [(1000, 1000)]
     unstable = ArgumentationFramework(names, attacks)
     assert solve(unstable, TaskSpec(Task.EE, Semantics.STG)).extensions == (
-        unstable.mask_of(names[0:1000:2]),
+        mask_of(unstable, names[0:1000:2]),
     )
     assert sys.getrecursionlimit() == before
     unstable = _chain_with_loop(2000)

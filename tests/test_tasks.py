@@ -16,7 +16,7 @@ from afsolve import (
 )
 from afsolve.kernel import grounded
 from afsolve.tasks import reduce_to_query
-from conftest import build, random_af
+from conftest import build, mask_of, random_af
 
 
 def test_every_exported_name_exists():
@@ -77,7 +77,7 @@ def test_reduce_to_query():
 
 def test_solve_examples():
     fig = build(["a", "b"], [("a", "b")])
-    assert solve(fig, TaskSpec(Task.EE, Semantics.CO)).extensions == (fig.mask_of(["a"]),)
+    assert solve(fig, TaskSpec(Task.EE, Semantics.CO)).extensions == (mask_of(fig, ["a"]),)
     cyc = build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
     assert solve(cyc, TaskSpec(Task.SE, Semantics.ST)).extension is None
     assert solve(cyc, TaskSpec(Task.DS, Semantics.ST, "a")).verdict is True
