@@ -12,6 +12,7 @@ Run with:  python3 demos/03_ranges_and_ideal.py
 
 import afsolve as afs
 from afsolve import oracle_extensions
+from afsolve.framework import canonical_key
 from afsolve.ideal import credulous_profile, ideal_extension
 from afsolve.kernel import maximize_complete
 from afsolve.ranges import max_ranges, range_of, semi_stable_all, stage_all
@@ -27,9 +28,11 @@ print("stable extensions:", list(afs.solve(af, afs.TaskSpec.from_problem("EE-ST"
 print()
 
 # stage maximizes the ranges of conflict-free sets, semi-stable those of
-# complete extensions; stage_all orders by range, then canonically, so the
-# first member of each range's group is its canonically least witness
-stage = stage_all(af)
+# complete extensions; stage_all lists in discovery order, so sort it by
+# canonical range, then canonically: the first member of each range's group
+# is its canonically least witness
+canonical = lambda mask: canonical_key(mask, af.n)
+stage = sorted(stage_all(af), key=lambda e: (canonical(range_of(af, e)), canonical(e)))
 by_range = {}
 for e in stage:
     by_range.setdefault(range_of(af, e), []).append(e)

@@ -45,7 +45,7 @@ search state lives in local ints and lists, so concurrent searches, in one
 thread or several, over the same framework or not, never interfere.
 """
 
-from .framework import ArgumentationFramework, canonical_key
+from .framework import ArgumentationFramework
 
 
 class _Search:
@@ -432,19 +432,17 @@ def preferred_without(af: ArgumentationFramework, q: int) -> int | None:
 
 
 def preferred_extensions(af: ArgumentationFramework) -> list[int]:
-    """All preferred extensions, in canonical order."""
+    """All preferred extensions, in discovery order."""
     out: list[int] = []
     preferred_into(af, out.append)
-    out.sort(key=lambda m: canonical_key(m, af.n))
     return out
 
 
 def complete_extensions(af: ArgumentationFramework, **kw) -> list[int]:
-    """All complete extensions that meet the constraints *kw*, in canonical
+    """All complete extensions that meet the constraints *kw*, in discovery
     order: the stable ones with notundec=af.all_mask."""
     found: list[int] = []
     _Search(af, **kw).run(lambda i, o, u: found.append(i))
-    found.sort(key=lambda m: canonical_key(m, af.n))
     return found
 
 

@@ -7,14 +7,19 @@ come from one blocking loop (``_maximal_ranges``): find a complete labelling,
 grow its range until none exceeds it, yield it, block every range it covers
 and repeat.  "The range escapes R" is an in-clause over complete labellings
 (``_escape``), so growing and blocking need no constraint of their own.
-Stage works on naive sets, after a stable search: if a stable extension
-exists, the stage extensions are the stable ones.  Otherwise EE-STG and
-CE-STG list them with a clique search that skips subtrees of covered range
-(``_stage_pairs``), while SE-STG, DC-STG and DS-STG list none: a branch and
-bound for the largest naive range (``_max_range``) gives one stage extension
-(``some_stage``), and a loop of such searches decides a query
-(``decide_stage``).  Both clique searches run over explicit stacks of nodes,
-so they never set the recursion limit or any other interpreter state.
+Stage works on naive sets.  EE-STG and CE-STG list the stage extensions with
+a clique search that skips subtrees of covered range
+(``_maximal_conflict_free``), while SE-STG, DC-STG and DS-STG list none: a
+branch and bound for the largest naive range (``_max_range``) gives one
+stage extension (``some_stage``), and a loop of such searches decides a
+query (``decide_stage``).  Both clique searches run over explicit stacks of
+nodes, so they never set the recursion limit or any other interpreter state.
+
+Nothing here looks for stable extensions: the task layer sends a stage
+problem to stable when a stable extension exists, and lists the semi-stable
+extensions as the stable ones when there are any.  Every entry point is
+still correct on a framework with a stable extension.  Listings come in
+discovery order; the task layer sorts EE answers.
 
 Each semantics has its own entry points, one per question the task layer
 asks: semi-stable ``some_semi_stable``, ``semi_stable_all`` and
@@ -239,27 +244,6 @@ def _max_range(
     return best_set
 
 
-def _stage_pairs(af: ArgumentationFramework) -> list[tuple[int, int]]:
-    """Every stage extension with its range, as (set, range) pairs: in
-    canonical order when a stable extension exists, else in the order of the
-    naive-set search.
-
-    A stable extension's range is every argument, so if one exists the stage
-    extensions are exactly the stable ones (Verheij, NAIC 1996).  Otherwise
-    they are exactly the naive sets whose range is maximal among naive
-    ranges, which the range-bounded clique search returns.  Proof sketch: a
-    stage extension S is naive, since if S | {a} were conflict free for some
-    a outside S, then a would be neither in S nor attacked by S, so S | {a}
-    would have a strictly larger range.  Every conflict-free set lies inside
-    a naive set, whose range contains its own, so a range maximal among
-    naive ranges is maximal among all conflict-free ranges.
-    """
-    stable = kernel.complete_extensions(af, notundec=af.all_mask)
-    if stable:
-        return [(s, af.all_mask) for s in stable]
-    return _maximal_conflict_free(af)
-
-
 def some_semi_stable(af: ArgumentationFramework) -> int:
     """A semi-stable extension: the witness of a complete labelling's range,
     grown until it is maximal."""
@@ -268,53 +252,46 @@ def some_semi_stable(af: ArgumentationFramework) -> int:
 
 
 def some_stage(af: ArgumentationFramework) -> int:
-    """A stage extension: a stable extension if there is one, else a naive
-    set with the most arguments in its range, which is ⊆-maximal
-    (``_max_range``)."""
-    stable = kernel.find_stable(af)
-    if stable is not None:
-        return stable
+    """A stage extension: a naive set with the most arguments in its range,
+    which is ⊆-maximal (``_max_range``)."""
     universe, compat = _compat(af)
     return _max_range(af, compat, 0, universe, 0)
 
 
 def semi_stable_all(af: ArgumentationFramework) -> list[int]:
-    """All semi-stable extensions, in canonical order.
-
-    If stable extensions exist they are exactly the semi-stable ones (the
-    complete labellings with empty undec).  Otherwise every complete labelling
-    is enumerated and the ones with subset-minimal undec sets are kept.
-    """
-    stable = kernel.complete_extensions(af, notundec=af.all_mask)
-    if stable:
-        return stable
+    """All semi-stable extensions, in discovery order: every complete
+    labelling is enumerated and the ones with subset-minimal undec sets are
+    kept."""
     pairs: list[tuple[int, int]] = []
     kernel.complete_labellings_into(af, lambda i, o, u: pairs.append((u, i)))
     undec_sets = {u for u, _ in pairs}
-    result = [
+    return [
         i
         for u, i in pairs
         if not any(other != u and other & u == other for other in undec_sets)
     ]
-    result.sort(key=lambda m: canonical_key(m, af.n))
-    return result
 
 
 def stage_all(af: ArgumentationFramework) -> list[int]:
-    """All stage extensions, by canonical range order and canonically within
-    a range."""
-    pairs = _stage_pairs(af)
-    pairs.sort(key=lambda p: (canonical_key(p[1], af.n), canonical_key(p[0], af.n)))
-    return [s for s, _ in pairs]
+    """All stage extensions, in discovery order: the naive sets whose range
+    is maximal among naive ranges, which the range-bounded clique search
+    returns.
+
+    Proof sketch: a stage extension S is naive, since if S | {a} were
+    conflict free for some a outside S, then a would be neither in S nor
+    attacked by S, so S | {a} would have a strictly larger range.  Every
+    conflict-free set lies inside a naive set, whose range contains its own,
+    so a range maximal among naive ranges is maximal among all conflict-free
+    ranges.
+    """
+    return [s for s, _ in _maximal_conflict_free(af)]
 
 
 def decide_stage(af: ArgumentationFramework, credulous: bool, q: int) -> bool:
     """Credulous / skeptical stage acceptance of q, without listing every
     stage extension.
 
-    If a stable extension exists, the stage extensions are the stable ones
-    (see ``_stage_pairs``), and at most two stable searches decide q.
-    Otherwise a loop over naive sets.  A candidate is a naive set on q's
+    A loop over naive sets.  A candidate is a naive set on q's
     side (holding q for credulous, leaving it out for skeptical) with the
     largest range R that lies strictly inside no range in *known*.  A naive
     range T strictly above R also lies strictly inside no known range, so a
@@ -335,13 +312,6 @@ def decide_stage(af: ArgumentationFramework, credulous: bool, q: int) -> bool:
     ranges, so the loop ends.
     """
     qbit = 1 << q
-    stable = kernel.find_stable(af)
-    if stable is not None:
-        if bool(stable & qbit) == credulous:
-            return credulous
-        if credulous:
-            return kernel.find_stable(af, force_in=qbit) is not None
-        return kernel.find_stable(af, force_out=qbit) is None
     universe, compat = _compat(af)
     if not universe & qbit:
         # a self-attacker is in no conflict-free set, and a stage extension exists

@@ -3,10 +3,15 @@
 solve() is the one place that routes a problem: each (task, semantics) pair
 calls a function that serves that one semantics.  Complete and stable go to
 the kernel's search directly, preferred to its in-first search and blocking
-enumeration, semi-stable to range growth, stage to the stable extensions or
-else to naive-set searches (a range-bounded listing for EE and CE, a
-largest-range search for SE and a loop of them for DC and DS), and ideal to
-the two-phase fixed point.
+enumeration, semi-stable to range growth, stage to naive-set searches (a
+range-bounded listing for EE and CE, a largest-range search for SE and a
+loop of them for DC and DS), and ideal to the two-phase fixed point.  A
+stage problem goes to stable instead when a stable extension exists, and
+EE/CE-SST list the stable extensions when there are any.
+
+This module also owns the answer contract.  The searches list extensions in
+the order they find them; solve() and solve_by_oracle() sort every EE answer
+into canonical order in one place (``_canonical``).
 
 Acceptance queries avoid whole-extension work.  Skeptical preferred queries
 and ideal queries first shrink the framework to the arguments with a directed
@@ -14,8 +19,8 @@ path to the query.  Skeptical preferred, semi-stable and ideal queries then
 try _shortcut: grounded membership and at most two complete searches.  What
 they leave open goes to a counterexample-guided loop (preferred_without in
 the kernel, decide_range for semi-stable) or, for ideal, to the ideal
-extension.  Stage queries go straight to decide_stage's loop over naive
-sets.
+extension.  Stage queries without a stable extension go straight to
+decide_stage's loop over naive sets.
 
 solve_by_oracle() answers the same tasks from the brute-force oracle's list
 of every extension, for cross-checks on small frameworks.
@@ -142,7 +147,9 @@ def _all_extensions(af: ArgumentationFramework, sem: Semantics) -> list[int]:
     if sem is Semantics.ST:
         return kernel.complete_extensions(af, notundec=af.all_mask)
     if sem is Semantics.SST:
-        return ranges.semi_stable_all(af)
+        # semi-stable extensions are the stable ones when there are any
+        # (Caminada, COMMA 2006): the complete labellings with empty undec
+        return kernel.complete_extensions(af, notundec=af.all_mask) or ranges.semi_stable_all(af)
     if sem is Semantics.STG:
         return ranges.stage_all(af)
     return [ideal_extension(af)]
@@ -208,14 +215,23 @@ def _skeptical(af: ArgumentationFramework, sem: Semantics, q: int) -> bool:
     return ranges.decide_stage(af, credulous=False, q=q)
 
 
+def _canonical(af: ArgumentationFramework, exts) -> tuple[int, ...]:
+    """*exts* in canonical order, the order of every EE answer."""
+    return tuple(sorted(exts, key=lambda m: canonical_key(m, af.n)))
+
+
 def solve(af: ArgumentationFramework, spec: TaskSpec, *, reduce_queries: bool = True) -> SolveResult:
     """Solve one task; *reduce_queries* disables the reachability
     preprocessing (used by its soundness tests)."""
     task, sem = spec.task, spec.semantics
+    if sem is Semantics.STG and kernel.find_stable(af) is not None:
+        # a stable extension's range is every argument, so if one exists the
+        # stage extensions are exactly the stable ones (Verheij, NAIC 1996)
+        sem = Semantics.ST
     if task is Task.SE:
         return SolveResult(task, extension=_some_extension(af, sem))
     if task is Task.EE:
-        return SolveResult(task, extensions=tuple(_all_extensions(af, sem)))
+        return SolveResult(task, extensions=_canonical(af, _all_extensions(af, sem)))
     if task is Task.CE:
         return SolveResult(task, count=_count_extensions(af, sem))
     q = _resolve_query(af, spec.query)
@@ -234,7 +250,7 @@ def solve(af: ArgumentationFramework, spec: TaskSpec, *, reduce_queries: bool = 
 def solve_by_oracle(af: ArgumentationFramework, spec: TaskSpec) -> SolveResult:
     """Solve one task from every extension the oracle lists: SE gives the
     canonically least one.  Raises TooLargeError above the oracle's size."""
-    exts = sorted(oracle_extensions(af, spec.semantics.value), key=lambda m: canonical_key(m, af.n))
+    exts = _canonical(af, oracle_extensions(af, spec.semantics.value))
     task = spec.task
     if task is Task.SE:
         return SolveResult(task, extension=exts[0] if exts else None)

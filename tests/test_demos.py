@@ -1,4 +1,6 @@
-"""Every demo script runs to completion and prints its walkthrough."""
+"""Every demo script runs to completion and prints its walkthrough, byte
+for byte the one committed under demos/expected/: the demos are
+deterministic, so a changed output is a changed answer or order."""
 
 import os
 import subprocess
@@ -21,3 +23,5 @@ def test_demo_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    expected = ROOT / "demos" / "expected" / (script.stem + ".txt")
+    assert proc.stdout == expected.read_text()
