@@ -25,9 +25,11 @@ forbidden everywhere (``notundec``).
 Branching is obligation-driven: while some out-labelled argument still lacks
 an in-labelled attacker, the search branches on one of its candidate
 defenders, in first, which keeps refutations local to the query instead of
-wandering over the whole framework.  Existence searches (``find_first``) try
-not-in first on a free argument and close a branch as soon as no obligation
-is pending, since labelling everything still free as undec then completes the
+wandering over the whole framework.  Every decision, obligation or free,
+takes the argument of highest degree in its pool, a static rank
+(``_Search._pick``).  Existence searches (``find_first``) try not-in first on
+a free argument and close a branch as soon as no obligation is pending,
+since labelling everything still free as undec then completes the
 labelling.  Every other search tries in first at every decision, so its first
 leaf is subset-maximal (``maximize_complete``); preferred is built on that,
 in one blocking loop (``_maximal_blocked``).
@@ -51,7 +53,8 @@ from .framework import ArgumentationFramework
 class _Search:
     """One configured search for complete labellings; run() drives the
     callback over the leaves.  The callback receives (in_mask, out_mask,
-    undec_mask) per leaf and may return False to stop.
+    undec_mask) per leaf and may return False to stop; run() returns that
+    leaf as the same triple, or None when the leaves run out.
     """
 
     def __init__(
@@ -65,7 +68,6 @@ class _Search:
         find_first: bool = False,
     ):
         self.af = af
-        self.n = af.n
         self.all = af.all_mask
         self.attackers = af.attackers
         self.targets = af.targets
@@ -215,57 +217,41 @@ class _Search:
                 best = i
         return best
 
-    def _search(self, state, on_leaf) -> None:
+    def _search(self, state, on_leaf):
         """Depth first from the propagated *state* until the leaves run out
-        or on_leaf returns False.  The stack holds the pending children as
-        (parent state, f_in, f_ni), the one to try first on top; a child is
-        propagated only when it is popped."""
+        (None) or on_leaf returns False (that leaf).  The stack holds the
+        pending children as (parent state, f_in, f_ni), the one to try first
+        on top; a child is propagated only when it is popped.  Every
+        decision branches on the best-ranked argument (``_pick``) of a pool."""
         attackers = self.attackers
         allm = self.all
-        n = self.n
         notundec = self.notundec
         find_first = self.find_first
         propagate = self._propagate
         stack = []
-        push = stack.append
         pop = stack.pop
         while True:
             IN, OUT, NI, ATK, icls = state
             free = ~(IN | OUT | NI) & allm
             UNJ = OUT & ~ATK
             if UNJ:
-                # defend the unjustified out-argument with the fewest candidate
-                # attackers (fail-first); among its candidates prefer the one that
-                # opens the fewest new obligations, trying in before not-in
-                best_a = -1
-                best_k = n + 1
+                # an obligation: the free attackers of the unjustified
+                # out-argument that has the fewest of them (fail-first)
+                pool = free
                 m = UNJ
                 while m:
                     low = m & -m
                     m ^= low
-                    k = (attackers[low.bit_length() - 1] & free).bit_count()
-                    if k < best_k:
-                        best_k = k
-                        best_a = low.bit_length() - 1
-                best_v = -1
-                best_c = n + 1
-                m = attackers[best_a] & free
-                while m:
-                    low = m & -m
-                    m ^= low
-                    i = low.bit_length() - 1
-                    c = (attackers[i] & ~OUT).bit_count()
-                    if c < best_c:
-                        best_c = c
-                        best_v = i
-                bit = 1 << best_v
-                push((state, 0, bit))
-                push((state, bit, 0))
+                    cand = attackers[low.bit_length() - 1] & free
+                    if cand.bit_count() < pool.bit_count():
+                        pool = cand
             elif find_first and not icls and free & notundec == 0:
                 # no pending obligation: everything still free can end undec
-                if on_leaf(IN, OUT, NI | free) is False:
-                    return
+                pool = 0
+                NI |= free
             else:
+                # a free decision: the arguments that may not end undec, else
+                # the members of the in-clauses, else any
                 pool = free & notundec
                 if not pool and icls:
                     m = 0
@@ -274,26 +260,23 @@ class _Search:
                     pool = free & m
                 if not pool:
                     pool = free
-                if not pool:
-                    # leaf: surviving not-in arguments must be undec
-                    if on_leaf(IN, OUT, NI) is False:
-                        return
-                else:
-                    bit = 1 << self._pick(pool)
-                    if find_first:
-                        push((state, bit, 0))
-                        push((state, 0, bit))
-                    else:
-                        push((state, 0, bit))
-                        push((state, bit, 0))
+            if pool:
+                # an obligation, and every decision of a search that is not
+                # an existence search, tries in first
+                bit = 1 << self._pick(pool)
+                not_in, in_ = (state, 0, bit), (state, bit, 0)
+                stack += (in_, not_in) if find_first and not UNJ else (not_in, in_)
+            elif on_leaf(IN, OUT, NI) is False:
+                # a leaf (its surviving not-in arguments are undec) stopped it
+                return (IN, OUT, NI)
             state = None
             while state is None:
                 if not stack:
-                    return
+                    return None
                 parent, f_in, f_ni = pop()
                 state = propagate(parent, f_in=f_in, f_ni=f_ni)
 
-    def run(self, on_leaf) -> None:
+    def run(self, on_leaf):
         state = self._propagate(
             (0, 0, 0, 0, self.in_clauses),
             f_in=self.force_in,
@@ -301,21 +284,13 @@ class _Search:
             f_ni=self.force_notin | _self_attackers(self.af),
             recheck_g=self.all,
         )
-        if state is not None:
-            self._search(state, on_leaf)
+        return None if state is None else self._search(state, on_leaf)
 
 
 def find_complete(af: ArgumentationFramework, *, find_first: bool = True, **kw):
     """Some complete labelling satisfying the constraints, or None: the
     first leaf of the configured search."""
-    box = []
-
-    def grab(in_m, out_m, ud_m):
-        box.append((in_m, out_m, ud_m))
-        return False
-
-    _Search(af, find_first=find_first, **kw).run(grab)
-    return box[0] if box else None
+    return _Search(af, find_first=find_first, **kw).run(lambda *leaf: False)
 
 
 def find_stable(af: ArgumentationFramework, *, force_in: int = 0, force_out: int = 0):
@@ -325,8 +300,8 @@ def find_stable(af: ArgumentationFramework, *, force_in: int = 0, force_out: int
     return leaf[0] if leaf is not None else None
 
 
-def complete_labellings_into(af: ArgumentationFramework, on_leaf, **kw) -> None:
-    _Search(af, **kw).run(on_leaf)
+def complete_labellings_into(af: ArgumentationFramework, on_leaf, **kw):
+    return _Search(af, **kw).run(on_leaf)
 
 
 def grounded(af: ArgumentationFramework) -> int:
@@ -370,21 +345,21 @@ def _self_attackers(af: ArgumentationFramework) -> int:
     return m
 
 
-def maximize_complete(af: ArgumentationFramework, e: int = 0, **kw) -> int | None:
-    """A complete extension that holds *e*, meets the constraints *kw* and is
+def maximize_complete(af: ArgumentationFramework, **kw) -> int | None:
+    """A complete extension that meets the constraints *kw* and is
     subset-maximal among those that do, or None if none does: the first leaf
     of a search that tries in first at every decision.
 
     Proof sketch (Di Rosa, Giunchiglia & Maratea, "Solving satisfiability
     problems with preferences", Constraints 15 (2010)): let M be that leaf and
-    M' a complete strict superset that holds e and meets kw.  Propagation
-    keeps every labelling that agrees with the decisions, and only M agrees
-    with all of M's, so M' contradicts one.  M' agrees with every in decision
-    on M's path, as M is a subset of M', so the first decision it contradicts
-    put some b of M' to not-in.  The in branch for b holds M' and was searched
+    M' a complete strict superset that meets kw.  Propagation keeps every
+    labelling that agrees with the decisions, and only M agrees with all of
+    M's, so M' contradicts one.  M' agrees with every in decision on M's
+    path, as M is a subset of M', so the first decision it contradicts put
+    some b of M' to not-in.  The in branch for b holds M' and was searched
     first, so it would have given a leaf before M.
     """
-    leaf = find_complete(af, find_first=False, force_in=e, **kw)
+    leaf = find_complete(af, find_first=False, **kw)
     return leaf[0] if leaf is not None else None
 
 

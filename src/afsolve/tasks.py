@@ -224,12 +224,13 @@ def solve(af: ArgumentationFramework, spec: TaskSpec, *, reduce_queries: bool = 
     """Solve one task; *reduce_queries* disables the reachability
     preprocessing (used by its soundness tests)."""
     task, sem = spec.task, spec.semantics
-    if sem is Semantics.STG and kernel.find_stable(af) is not None:
+    stable = kernel.find_stable(af) if sem is Semantics.STG else None
+    if stable is not None:
         # a stable extension's range is every argument, so if one exists the
         # stage extensions are exactly the stable ones (Verheij, NAIC 1996)
         sem = Semantics.ST
     if task is Task.SE:
-        return SolveResult(task, extension=_some_extension(af, sem))
+        return SolveResult(task, extension=_some_extension(af, sem) if stable is None else stable)
     if task is Task.EE:
         return SolveResult(task, extensions=_canonical(af, _all_extensions(af, sem)))
     if task is Task.CE:

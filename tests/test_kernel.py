@@ -212,15 +212,19 @@ def test_visitor_stop():
     mutual = build(["a", "b"], [("a", "b"), ("b", "a")])
     seen = []
 
-    def visit(in_m, out_m, ud_m):
-        seen.append(in_m)
+    def visit(*leaf):
+        seen.append(leaf)
         return False
 
-    complete_labellings_into(mutual, visit)
+    # the search returns the leaf that stopped it, and None when none did
+    assert complete_labellings_into(mutual, visit) == seen[0]
     assert len(seen) == 1
     every = []
-    complete_labellings_into(mutual, lambda i, o, u: every.append(i))
+    assert complete_labellings_into(mutual, lambda i, o, u: every.append(i)) is None
     assert len(every) == 3
+    seen.clear()
+    assert _Search(mutual).run(lambda *leaf: seen.append(leaf) or len(seen) < 2) == seen[1]
+    assert len(seen) == 2
 
 
 def test_count_matches_enumeration():
@@ -257,6 +261,55 @@ def test_find_complete_and_stable_respect_constraints():
                 assert st is None
 
 
+def test_constrained_searches_match_the_filtered_labellings():
+    """Each search under force_in, force_notin, notundec and in_clauses
+    finds among exactly the complete labellings that meet them: the
+    constrained listing is the unconstrained one filtered, the existence
+    search's leaf lies in it, and the in-first search's leaf is maximal."""
+    from afsolve.kernel import complete_labellings_into
+
+    rng = random.Random(2828)
+
+    def some(n, p):
+        return sum(1 << i for i in range(n) if rng.random() < p)
+
+    def labellings(af, **kw):
+        found = set()
+        complete_labellings_into(af, lambda *leaf: found.add(leaf), **kw)
+        return found
+
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        # self-attackers come from random_af; the added 2-cycles give many
+        # complete labellings to choose among
+        base = random_af(rng, n, rng.choice([1.0, 2.0]) / n)
+        cycles = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.5 / n]
+        af = ArgumentationFramework(base.names, sorted({*base.attacks, *cycles, *((b, a) for a, b in cycles)}))
+        every = labellings(af)
+        for _ in range(5):
+            kw = dict(
+                force_in=some(n, 0.03), force_notin=some(n, 0.05),
+                notundec=some(n, rng.choice([0.1, 0.5])),
+                in_clauses=tuple(some(n, 0.2) for _ in range(rng.randint(0, 3))),
+            )
+            meets = {
+                (i, o, u) for i, o, u in every
+                if kw["force_in"] & ~i == 0 and kw["force_notin"] & i == 0
+                and kw["notundec"] & u == 0 and all(c & i for c in kw["in_clauses"])
+            }
+            assert labellings(af, **kw) == meets, (af.attacks, kw)
+            for find_first in (True, False):
+                leaf = find_complete(af, find_first=find_first, **kw)
+                assert leaf in meets if meets else leaf is None, (af.attacks, kw, find_first)
+            top = maximize_complete(af, **kw)
+            ins = {i for i, o, u in meets}
+            assert top in ins if meets else top is None, (af.attacks, kw)
+            assert not any(i != top and i & top == top for i in ins), (af.attacks, kw)
+            checked += len(meets) > 1
+    assert checked >= 80, checked
+
+
 def test_labelling_partition_and_closure():
     from afsolve.kernel import complete_labellings_into
 
@@ -283,7 +336,7 @@ def test_preferred_improvement_loop():
         pr = set(preferred_extensions(af))
         assert maximize_complete(af) in pr
         for e in complete_extensions(af):
-            grown = maximize_complete(af, e)
+            grown = maximize_complete(af, force_in=e)
             assert grown in pr
             assert e & ~grown == 0
         assert set(preferred_extensions(af)) == pr
@@ -293,12 +346,12 @@ def check_maximize_complete(af):
     complete = oracle_extensions(af, "CO")
     pr = oracle_extensions(af, "PR")
     for e in complete:
-        grown = maximize_complete(af, e)
+        grown = maximize_complete(af, force_in=e)
         assert grown in pr and e & ~grown == 0, (af.attacks, e)
     for q in range(af.n):
         without = [c for c in complete if not (c >> q) & 1]
         for e in without:
-            grown = maximize_complete(af, e, force_notin=1 << q)
+            grown = maximize_complete(af, force_in=e, force_notin=1 << q)
             assert grown in without and e & ~grown == 0, (af.attacks, q, e)
             assert not any(c != grown and c & grown == grown for c in without), (af.attacks, q, e)
 
@@ -356,7 +409,7 @@ def test_preferred_matches_improvement_loop():
 
         complete_labellings_into(af, keep)
         for e in starts:
-            grown = maximize_complete(af, e)
+            grown = maximize_complete(af, force_in=e)
             assert e & ~grown == 0 and is_extension(af, grown, "PR"), (af.attacks, e)
 
 
