@@ -26,7 +26,9 @@ Branching is obligation-driven: while some out-labelled argument still lacks
 an in-labelled attacker, the search branches on one of its candidate
 defenders, in first, which keeps refutations local to the query instead of
 wandering over the whole framework.  Every decision, obligation or free,
-takes the argument of highest degree in its pool, a static rank
+takes the argument of highest degree in its pool, the lowest index among
+equals: a static rank, kept as one mask per degree, so a decision is the
+lowest member of the first degree mask that meets the pool
 (``_Search._pick``).  Existence searches (``find_first``) try not-in first on
 a free argument and close a branch as soon as no obligation is pending,
 since labelling everything still free as undec then completes the
@@ -76,12 +78,7 @@ class _Search:
         self.force_notin = force_notin
         self.in_clauses = tuple(c & af.all_mask for c in in_clauses)
         self.find_first = find_first
-        # branching rank: higher degree first, then lower index
-        n = af.n
-        self.pos = [
-            (2 * n - af.attackers[i].bit_count() - af.targets[i].bit_count()) * n + i
-            for i in range(n)
-        ]
+        self.levels = None  # the branching rank, built by the first _pick
 
     def _propagate(self, state, f_in=0, f_out=0, f_ni=0, recheck_g=0):
         """The least fixpoint of the labelling rules above *state* with the
@@ -92,8 +89,10 @@ class _Search:
         Labels are applied a mask at a time: a batch of new in-arguments
         forces the union of their rows out in one step, a conflict is a
         non-empty intersection, and the only per-argument loops are the
-        unions of rows and the unit checks.  recheck_g seeds the closure
-        check (every argument at the root).
+        unions of rows and the unit checks.  Each loop over a mask walks it
+        highest bit first (``bit_length``), and the closure check takes ~OUT
+        once, since OUT does not change inside it.  recheck_g seeds the
+        closure check (every argument at the root).
 
         Proof sketch that batching changes no result: every rule is monotone
         in the partial labelling, whose sets IN, OUT and the not-in set
@@ -103,7 +102,8 @@ class _Search:
         every state above S.  So every label derived lies in each consistent
         fixpoint above the start, and a derived conflict means there is none.
         The loop stops only at a fixpoint, so it returns the least one (or
-        None), whatever the order and grouping in which labels were applied.
+        None), whatever the order and grouping in which labels were applied,
+        and so whatever order the loops walk their masks in.
         ATK and the kept clauses (those not satisfied, with at least two free
         members) are functions of that fixpoint.  The recheck sets only say
         where a unit rule may newly fire, and testing a superset is sound,
@@ -129,9 +129,8 @@ class _Search:
                 IN |= new
                 hit = 0
                 while new:
-                    low = new & -new
-                    new ^= low
-                    i = low.bit_length() - 1
+                    i = new.bit_length() - 1
+                    new ^= 1 << i
                     hit |= targets[i]
                     f_out |= attackers[i]
                 ATK |= hit
@@ -146,9 +145,9 @@ class _Search:
                 recheck_out |= new
                 hit = 0
                 while new:
-                    low = new & -new
-                    new ^= low
-                    hit |= targets[low.bit_length() - 1]
+                    i = new.bit_length() - 1
+                    new ^= 1 << i
+                    hit |= targets[i]
                 recheck_out |= hit
                 recheck_g |= hit
             if f_ni:
@@ -160,27 +159,29 @@ class _Search:
                 new &= ~notundec
                 NI |= new
                 while new:
-                    low = new & -new
-                    new ^= low
-                    recheck_out |= targets[low.bit_length() - 1]
+                    i = new.bit_length() - 1
+                    new ^= 1 << i
+                    recheck_out |= targets[i]
             if f_out:
                 continue
             if recheck_g:
                 m = recheck_g & ~(IN | OUT)
                 recheck_g = 0
+                not_out = ~OUT
                 while m:
-                    low = m & -m
-                    m ^= low
-                    if not attackers[low.bit_length() - 1] & ~OUT:
-                        f_in |= low
+                    i = m.bit_length() - 1
+                    bit = 1 << i
+                    m ^= bit
+                    if not attackers[i] & not_out:
+                        f_in |= bit
             free = ~(IN | OUT | NI) & allm
             if recheck_out:
                 m = recheck_out & OUT & ~ATK
                 recheck_out = 0
                 while m:
-                    low = m & -m
-                    m ^= low
-                    cand = attackers[low.bit_length() - 1] & free
+                    i = m.bit_length() - 1
+                    m ^= 1 << i
+                    cand = attackers[i] & free
                     if not cand:
                         return None
                     if not cand & (cand - 1):
@@ -205,17 +206,26 @@ class _Search:
             return (IN, OUT, NI, ATK, icls)
 
     def _pick(self, pool: int) -> int:
-        pos = self.pos
-        best = pool.bit_length() - 1
-        best_pos = pos[best]
-        while pool:
-            low = pool & -pool
-            pool ^= low
-            i = low.bit_length() - 1
-            if pos[i] < best_pos:
-                best_pos = pos[i]
-                best = i
-        return best
+        """The argument of highest degree in the non-empty *pool*, the lowest
+        index among equals: the lowest member of the first degree level that
+        meets the pool.
+
+        ``levels`` holds one mask per degree (attackers plus targets),
+        highest degree first.  The first call builds it, so a search that
+        ends at its root, in a conflict or a leaf, never pays for it.
+        """
+        levels = self.levels
+        if levels is None:
+            by_degree = [0] * (2 * self.af.n + 1)
+            bit = 1
+            for a, t in zip(self.attackers, self.targets):
+                by_degree[a.bit_count() + t.bit_count()] |= bit
+                bit <<= 1
+            levels = self.levels = list(filter(None, reversed(by_degree)))
+        for level in levels:
+            m = level & pool
+            if m:
+                return (m & -m).bit_length() - 1
 
     def _search(self, state, on_leaf):
         """Depth first from the propagated *state* until the leaves run out
@@ -236,15 +246,18 @@ class _Search:
             UNJ = OUT & ~ATK
             if UNJ:
                 # an obligation: the free attackers of the unjustified
-                # out-argument that has the fewest of them (fail-first)
+                # out-argument that has the fewest of them (fail-first),
+                # the lowest index among equals
                 pool = free
+                size = free.bit_count()
                 m = UNJ
                 while m:
                     low = m & -m
                     m ^= low
                     cand = attackers[low.bit_length() - 1] & free
-                    if cand.bit_count() < pool.bit_count():
-                        pool = cand
+                    c = cand.bit_count()
+                    if c < size:
+                        pool, size = cand, c
             elif find_first and not icls and free & notundec == 0:
                 # no pending obligation: everything still free can end undec
                 pool = 0

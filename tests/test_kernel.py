@@ -681,41 +681,136 @@ class _QueueSearch(_Search):
             self._search(state, on_leaf)
 
 
+def _some(rng, n, p):
+    return sum(1 << i for i in range(n) if rng.random() < p)
+
+
+def _configs(rng, af):
+    """The four search configurations (complete or stable, with constraints
+    or without) that the differential tests run on *af*, drawn from *rng*."""
+    n = af.n
+    for stable in (False, True):
+        for constrained in (False, True):
+            kw = {"find_first": rng.random() < 0.5}
+            if constrained:
+                kw.update(
+                    force_in=_some(rng, n, 0.03), force_notin=_some(rng, n, 0.05),
+                    notundec=_some(rng, n, rng.choice([0.1, 0.5])),
+                    in_clauses=tuple(_some(rng, n, 0.2) for _ in range(rng.randint(0, 3))),
+                )
+            if stable:
+                kw["notundec"] = af.all_mask
+            yield kw
+
+
+def _leaves(cls, af, kw, cap=None):
+    """The leaves of a *cls* search in order, the first *cap* of them if
+    given, and the search."""
+    found = []
+
+    def keep(in_m, out_m, ud_m):
+        found.append((in_m, out_m, ud_m))
+        return cap is None or len(found) < cap
+
+    search = cls(af, **kw)
+    search.run(keep)
+    return found, search
+
+
 def test_mask_propagation_matches_the_tuple_queue():
     rng = random.Random(1717)
-
-    def some(n, p):
-        return sum(1 << i for i in range(n) if rng.random() < p)
-
-    def leaves(cls, af, kw):
-        found = []
-
-        def keep(in_m, out_m, ud_m):
-            found.append((in_m, out_m, ud_m))
-            return len(found) < 40
-
-        search = cls(af, **kw)
-        search.run(keep)
-        return found, search
-
     calls = total = 0
     for _ in range(600):
         n = rng.randint(10, 40)
         af = random_af(rng, n, rng.choice([1.0, 2.0, 4.0]) / n)
-        for stable in (False, True):
-            for constrained in (False, True):
-                kw = {"find_first": rng.random() < 0.5}
-                if constrained:
-                    kw.update(
-                        force_in=some(n, 0.03), force_notin=some(n, 0.05),
-                        notundec=some(n, rng.choice([0.1, 0.5])),
-                        in_clauses=tuple(some(n, 0.2) for _ in range(rng.randint(0, 3))),
-                    )
-                if stable:
-                    kw["notundec"] = af.all_mask
-                want, ref = leaves(_QueueSearch, af, kw)
-                got, _ = leaves(_Search, af, kw)
-                assert got == want, (af.attacks, stable, kw)
-                calls += ref.calls
-                total += len(want)
+        for kw in _configs(rng, af):
+            want, ref = _leaves(_QueueSearch, af, kw, 40)
+            got, _ = _leaves(_Search, af, kw, 40)
+            assert got == want, (af.attacks, kw)
+            calls += ref.calls
+            total += len(want)
     assert calls > 10000 and total > 1000, (calls, total)
+
+
+def test_mask_propagation_matches_the_tuple_queue_on_wide_masks():
+    # rows of 200-300 bits: the highest-bit walks and the closure check's
+    # hoisted ~OUT run on ints of many digits
+    rng = random.Random(2323)
+    calls = 0
+    for _ in range(5):
+        n = rng.randint(200, 300)
+        af = random_af(rng, n, rng.choice([1.0, 2.0, 4.0]) / n)
+        for kw in _configs(rng, af):
+            want, ref = _leaves(_QueueSearch, af, kw, 40)
+            got, _ = _leaves(_Search, af, kw, 40)
+            assert got == want, (af.attacks, kw)
+            calls += ref.calls
+    assert calls > 200, calls
+
+
+class _RankScanSearch(_Search):
+    """The replaced branching rank as the reference: one rank key per
+    argument (higher degree first, then lower index), and a scan of the
+    whole pool for the smallest key at every decision."""
+
+    def __init__(self, af, **kw):
+        super().__init__(af, **kw)
+        n = af.n
+        self.pos = [
+            (2 * n - af.attackers[i].bit_count() - af.targets[i].bit_count()) * n + i
+            for i in range(n)
+        ]
+
+    def _pick(self, pool):
+        pos = self.pos
+        best = pool.bit_length() - 1
+        best_pos = pos[best]
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            i = low.bit_length() - 1
+            if pos[i] < best_pos:
+                best_pos = pos[i]
+                best = i
+        return best
+
+
+def test_degree_levels_pick_as_the_rank_scan():
+    rng = random.Random(2929)
+    total = 0
+    for _ in range(200):
+        n = rng.randint(10, 40)
+        af = random_af(rng, n, rng.choice([1.0, 2.0, 4.0]) / n)
+        new, ref = _Search(af), _RankScanSearch(af)
+        for i in range(n):
+            assert new._pick(1 << i) == ref._pick(1 << i) == i
+        for _ in range(30):
+            pool = _some(rng, n, rng.choice([0.1, 0.5, 1.0])) or 1 << rng.randrange(n)
+            assert new._pick(pool) == ref._pick(pool), (af.attacks, pool)
+        for kw in _configs(rng, af):
+            want, _ = _leaves(_RankScanSearch, af, kw)
+            got, _ = _leaves(_Search, af, kw)
+            assert got == want, (af.attacks, kw)
+            total += len(want)
+    assert total > 300, total
+    # a cycle: every argument has degree 2, so the lowest index wins
+    n = 9
+    cycle = ArgumentationFramework([f"a{i}" for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
+    new = _Search(cycle)
+    for _ in range(50):
+        pool = _some(rng, n, 0.5) or 1 << rng.randrange(n)
+        assert new._pick(pool) == (pool & -pool).bit_length() - 1
+
+
+def test_obligation_ties_go_to_the_lowest_out_argument():
+    # x and y are out and unjustified, with two free attackers each, so the
+    # obligation branch ties; it takes x, the lower index, and a (degree 3
+    # like b, with the lower index) goes in first.  Taking y would put c in
+    # first.
+    af = build(["x", "y", "a", "b", "c", "d"], [
+        ("a", "x"), ("b", "x"), ("c", "y"), ("d", "y"),
+        ("a", "c"), ("c", "a"), ("b", "d"), ("d", "b"),
+    ])
+    xy = mask_of(af, ["x", "y"])
+    leaf = find_complete(af, force_notin=xy, notundec=xy)
+    assert leaf is not None and leaf[0] == mask_of(af, ["a", "d"])
